@@ -86,6 +86,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 	mux := obshttp.NewMux(nil, srv.storeHealth)
 	mux.Handle("/classify", srv)
 
+	// Catch SIGTERM before the daemon announces itself (addr-file,
+	// listening line): a signal sent the moment it is reachable must drain
+	// and flush the store, not kill the process.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigc)
+
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
@@ -101,8 +108,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	select {
 	case sig := <-sigc:
 		fmt.Fprintf(stderr, "temporald: %v, draining\n", sig)

@@ -240,18 +240,39 @@ func TestKeyAndTupleInterner(t *testing.T) {
 		t.Fatalf("Len = %d", ki.Len())
 	}
 
-	ti := NewTupleInterner()
-	a, fresh := ti.InternInts([]int{1, 2, 3})
+	// The frontier's fixed-width tuple table: dense first-seen ids, keys
+	// stored back to back, lookups that never intern.
+	ti := keyTable{width: 3}
+	a, fresh := ti.intern([]int32{1, 2, 3})
 	if a != 0 || !fresh {
 		t.Fatalf("tuple intern = %d, %v", a, fresh)
 	}
-	b, fresh := ti.Intern32([]int32{1, 2, 3})
+	b, fresh := ti.intern([]int32{1, 2, 3})
 	if b != 0 || fresh {
-		t.Fatalf("int32 view of same tuple = %d, %v", b, fresh)
+		t.Fatalf("repeat tuple = %d, %v", b, fresh)
 	}
-	c, _ := ti.InternInts([]int{1, 2})
+	c, _ := ti.intern([]int32{3, 2, 1})
 	if c != 1 {
-		t.Fatalf("shorter tuple must be distinct, id = %d", c)
+		t.Fatalf("permuted tuple must be distinct, id = %d", c)
+	}
+	if _, ok := ti.lookup([]int32{2, 2, 2}); ok {
+		t.Fatal("lookup of an absent tuple succeeded")
+	}
+	if ti.len() != 2 || !reflect.DeepEqual(ti.key(1), []int32{3, 2, 1}) {
+		t.Fatalf("len %d, key(1) = %v", ti.len(), ti.key(1))
+	}
+	// Grow well past the initial table: ids stay dense and every tuple,
+	// including negative components, still resolves to its id.
+	for i := 0; i < 5000; i++ {
+		id, fresh := ti.intern([]int32{int32(i), -int32(i), 7})
+		if !fresh || id != i+2 {
+			t.Fatalf("tuple %d interned as %d (fresh %v)", i, id, fresh)
+		}
+	}
+	for i := 0; i < 5000; i++ {
+		if id, ok := ti.lookup([]int32{int32(i), -int32(i), 7}); !ok || id != i+2 {
+			t.Fatalf("tuple %d looked up as %d, %v", i, id, ok)
+		}
 	}
 }
 

@@ -64,20 +64,14 @@ func TestConcurrentAnalysesPublishOnce(t *testing.T) {
 	}
 }
 
-// TestConcurrentInternerLookups races read-only Lookup probes against a
-// frozen interner from many goroutines — the exact access pattern the
-// sharded wave workers use while the single writer is parked at the
-// barrier.
+// TestConcurrentInternerLookups races read-only lookups against a frozen
+// tuple table from many goroutines — the exact access pattern the sharded
+// wave workers use on the frontier's global table while the single
+// writer is parked at the barrier.
 func TestConcurrentInternerLookups(t *testing.T) {
-	pairs := NewPairInterner()
-	for x := 0; x < 50; x++ {
-		for y := 0; y < 50; y++ {
-			pairs.Intern(x, y)
-		}
-	}
-	tuples := NewTupleInterner()
+	tuples := keyTable{width: 3}
 	for i := 0; i < 500; i++ {
-		tuples.Intern32([]int32{int32(i % 7), int32(i % 11), int32(i % 13)})
+		tuples.intern([]int32{int32(i % 7), int32(i % 11), int32(i % 13)})
 	}
 	var wg sync.WaitGroup
 	fail := make([]string, 8)
@@ -85,26 +79,16 @@ func TestConcurrentInternerLookups(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			var key []byte
-			for x := 0; x < 50; x++ {
-				for y := 0; y < 50; y++ {
-					id, ok := pairs.Lookup(x, y)
-					if !ok || id != x*50+y {
-						fail[g] = "pair lookup diverged"
-						return
-					}
-				}
-			}
-			if _, ok := pairs.Lookup(99, 99); ok {
-				fail[g] = "phantom pair"
-				return
-			}
 			for i := 0; i < 500; i++ {
-				key = TupleKey32(key[:0], []int32{int32(i % 7), int32(i % 11), int32(i % 13)})
-				if _, ok := tuples.LookupKey(key); !ok {
-					fail[g] = "tuple lookup missed an interned tuple"
+				id, ok := tuples.lookup([]int32{int32(i % 7), int32(i % 11), int32(i % 13)})
+				if !ok || id != i {
+					fail[g] = "tuple lookup diverged"
 					return
 				}
+			}
+			if _, ok := tuples.lookup([]int32{99, 99, 99}); ok {
+				fail[g] = "phantom tuple"
+				return
 			}
 		}(g)
 	}

@@ -459,7 +459,7 @@ func (e *Engine) contains(ctx context.Context, a, b *omega.Automaton) (plan.Outc
 	if err != nil {
 		return plan.Outcome{}, srcComputed, err
 	}
-	out, err := plan.ContainsWith(ctx, plan.DecideContains(pa, pb), a, b)
+	out, err := plan.ContainsWith(e.withJobs(ctx), plan.DecideContains(pa, pb), a, b)
 	if err != nil {
 		return plan.Outcome{}, srcComputed, wrapErr(err)
 	}
@@ -519,6 +519,7 @@ func (e *Engine) canonicalize(ctx context.Context, a *omega.Automaton, cl core.C
 		res *omega.Automaton
 		err error
 	)
+	ctx = e.withJobs(ctx)
 	switch cl {
 	case core.Safety:
 		res, err = a.ToSafetyAutomatonCtx(ctx)

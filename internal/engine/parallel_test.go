@@ -2,12 +2,14 @@ package engine_test
 
 // Engine-level governance for the sharded parallel search: a
 // WithParallelism engine attaches its worker bound to every request
-// context, so the lazy Streett product exploration shards its waves at
-// the production thresholds when the product is large enough. A fault
-// injected at the lazy site in that mode must (a) surface, (b) never
-// leave a verdict in the memo cache, and (c) degrade bit-identically —
-// same error, same states-materialized count — to a single-worker
-// engine.
+// context that can reach an exploration frontier, so the lazy Streett
+// product exploration and the model checker's product shard their waves
+// at the production thresholds when the product is large enough (or at
+// the thresholds a caller lowers with par.WithShardThresholds). A fault
+// injected at a lazy site in that mode must (a) surface, (b) never leave
+// a verdict in the memo cache, and (c) degrade bit-identically — same
+// error, same states-materialized count — to a single-worker engine. A
+// state budget must stop both products after the same spend.
 
 import (
 	"context"
@@ -15,16 +17,21 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/budget"
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/ltl"
 	"repro/internal/obs"
 	"repro/internal/omega"
+	"repro/internal/par"
+	"repro/internal/ts"
 )
 
 var (
 	cntLazyStatesEng = obs.NewCounter("omega.lazy.states_materialized")
 	cntParWavesEng   = obs.NewCounter("omega.parallel.waves")
+	cntMCNodesEng    = obs.NewCounter("mc.lazy.nodes_materialized")
+	cntMCWavesEng    = obs.NewCounter("mc.parallel.waves")
 )
 
 // bigFairnessPair compiles a five-pair conjoined-fairness containment
@@ -115,5 +122,85 @@ func TestParallelEngineFaultGovernance(t *testing.T) {
 	}
 	if ok != wantOK {
 		t.Fatalf("warm retry %v != fresh engine %v — faulted verdict was cached", ok, wantOK)
+	}
+}
+
+// ringVerify is a Streett-tier model-checking request: strong pass
+// fairness makes G (w0 -> F c0) hold on the 5-process ring, so the fair
+// lasso search closes the whole 240-node product.
+func ringVerify(t *testing.T) engine.CheckRequest {
+	t.Helper()
+	sys, err := ts.RingMutex(5, ts.Strong)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return engine.CheckRequest{Kind: engine.CheckVerify, System: sys, Formula: ltl.MustParse("G (w0 -> F c0)")}
+}
+
+// runRingVerify checks the ring request on an engine with the given worker
+// count (and options), with the sharding thresholds lowered so the jobs=2
+// run shards its waves. It reports the error, the product nodes closed and
+// whether a sharded wave ran.
+func runRingVerify(t *testing.T, workers int, opts ...engine.Option) (error, int64, bool) {
+	t.Helper()
+	req := ringVerify(t)
+	eng := engine.New(append(opts, engine.WithParallelism(workers))...)
+	ctx := par.WithShardThresholds(context.Background(), 2, 1)
+	nodes, waves := cntMCNodesEng.Value(), cntMCWavesEng.Value()
+	_, err := eng.Check(ctx, req)
+	return err, cntMCNodesEng.Value() - nodes, cntMCWavesEng.Value() > waves
+}
+
+// TestParallelVerifyBudgetParity: the model checker's product charges the
+// request's state budget per closed node, exactly as omega's lazy product
+// does, so a budget below the product size stops the check — after the
+// same spend at one worker and at two.
+func TestParallelVerifyBudgetParity(t *testing.T) {
+	_, full, _ := runRingVerify(t, 1)
+	const limit = 100
+	if full <= limit {
+		t.Fatalf("ring product closes %d nodes; the budget must sit below it", full)
+	}
+	spend := map[int]int64{}
+	for _, workers := range []int{1, 2} {
+		err, nodes, sharded := runRingVerify(t, workers, engine.WithStateBudget(limit))
+		var ex *budget.ExceededError
+		if !errors.As(err, &ex) || ex.Resource != "states" {
+			t.Fatalf("workers=%d: want a states budget exhaustion, got %v", workers, err)
+		}
+		if nodes != limit {
+			t.Fatalf("workers=%d: closed %d product nodes under a %d-state budget", workers, nodes, limit)
+		}
+		if workers > 1 && !sharded {
+			t.Fatalf("workers=%d: no sharded wave ran", workers)
+		}
+		spend[workers] = ex.Used
+	}
+	if spend[1] != spend[2] {
+		t.Fatalf("budget spend at exhaustion: %d at one worker, %d at two", spend[1], spend[2])
+	}
+}
+
+// TestParallelVerifyFaultParity injects an error at the model checker's
+// lazy site mid-product: it must surface, after the same number of closed
+// nodes at one worker and at two.
+func TestParallelVerifyFaultParity(t *testing.T) {
+	defer fault.Reset()
+	boom := errors.New("injected mc lazy fault")
+	closed := map[int]int64{}
+	for _, workers := range []int{1, 2} {
+		cleanup := fault.InjectError(fault.SiteMCLazy, 150, boom)
+		err, nodes, sharded := runRingVerify(t, workers)
+		cleanup()
+		if !errors.Is(err, boom) {
+			t.Fatalf("workers=%d: want the injected fault, got %v", workers, err)
+		}
+		if workers > 1 && !sharded {
+			t.Fatalf("workers=%d: no sharded wave ran", workers)
+		}
+		closed[workers] = nodes
+	}
+	if closed[1] != 149 || closed[2] != closed[1] {
+		t.Fatalf("nodes closed before the fault: %d at one worker, %d at two; want 149", closed[1], closed[2])
 	}
 }

@@ -58,20 +58,13 @@ func WithStepBudget(n int64) Option {
 	return func(e *Engine) { e.maxSteps = n }
 }
 
-// withBudget attaches the request-scoped governance every entry point
-// owes its downstream constructions: the engine's worker-pool bound as
-// the parallelism hint the sharded state-space search reads (unless the
-// caller pinned one), and a fresh budget when the engine has caps
+// withBudget attaches the request-scoped budget every entry point owes its
+// downstream constructions: a fresh budget when the engine has caps
 // configured and the caller did not already attach one. Each top-level
 // request (or Batch item) gets its own budget, so one runaway request
 // cannot starve its neighbors; sub-operations share the request's budget
 // through the context.
 func (e *Engine) withBudget(ctx context.Context) context.Context {
-	// Only a parallel pool is worth a context allocation: par.Jobs
-	// defaults to 1, so a sequential engine stays on the alloc-free path.
-	if _, ok := par.JobsFrom(ctx); !ok && e.workers > 1 {
-		ctx = par.WithJobs(ctx, e.workers)
-	}
 	if e.maxStates <= 0 && e.maxSteps <= 0 {
 		return ctx
 	}
@@ -79,4 +72,17 @@ func (e *Engine) withBudget(ctx context.Context) context.Context {
 		return ctx
 	}
 	return budget.With(ctx, budget.New(e.maxStates, e.maxSteps))
+}
+
+// withJobs attaches the engine's worker-pool bound as the parallelism
+// hint the exploration frontier reads to shard its waves, unless the
+// caller pinned one. It runs only on the miss paths that can reach a
+// frontier (planned containment, canonicalization, model checking), so
+// memo hits cost no context allocation; a sequential pool skips it too,
+// since the frontier defaults to one worker.
+func (e *Engine) withJobs(ctx context.Context) context.Context {
+	if _, ok := par.JobsFrom(ctx); !ok && e.workers > 1 {
+		ctx = par.WithJobs(ctx, e.workers)
+	}
+	return ctx
 }

@@ -88,23 +88,26 @@ func TestCallerTraceIDWins(t *testing.T) {
 }
 
 // TestEnvelopeFreeWhenOff: with no sink attached and no trace id on the
-// context, entry points must not allocate envelope state.
+// context, entry points must not allocate envelope state. It runs with the
+// worker pool pinned to 1 and to 2, so the bound holds on any host.
 func TestEnvelopeFreeWhenOff(t *testing.T) {
 	obs.Detach()
-	eng := engine.New()
-	ctx := context.Background()
-	if _, err := eng.ClassifyFormula(ctx, ltl.MustParse("G p"), nil); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
+	for _, workers := range []int{1, 2} {
+		eng := engine.New(engine.WithParallelism(workers))
+		ctx := context.Background()
 		if _, err := eng.ClassifyFormula(ctx, ltl.MustParse("G p"), nil); err != nil {
 			t.Fatal(err)
 		}
-	})
-	// 13 allocs is the cached-classify baseline (budget context, capture
-	// closure, key build) measured before the envelope existed; a skipped
-	// envelope must not add to it.
-	if allocs > 13 {
-		t.Errorf("disabled-path allocs = %.1f, want ≤ 13 (envelope must be free when off)", allocs)
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := eng.ClassifyFormula(ctx, ltl.MustParse("G p"), nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		// 13 allocs is the cached-classify baseline (budget context, capture
+		// closure, key build) measured before the envelope existed; a skipped
+		// envelope must not add to it.
+		if allocs > 13 {
+			t.Errorf("workers=%d: disabled-path allocs = %.1f, want ≤ 13 (envelope must be free when off)", workers, allocs)
+		}
 	}
 }

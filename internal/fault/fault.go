@@ -32,6 +32,7 @@ const (
 	SiteOmegaEmptiness = "omega.emptiness"    // per SCC examined
 	SiteOmegaLazy      = "omega.lazy.explore" // per lazily materialized product state
 	SiteOmegaMerge     = "omega.mergebuchi"   // per counter-merge state
+	SiteMCLazy         = "mc.lazy.explore"    // per lazily materialized model-checking product node
 	SiteEngineTask     = "engine.task"        // per pool task started
 	SiteEngineBatch    = "engine.batch.item"  // per batch item started
 	SitePlan           = "plan.specialized"   // per class-specialized fast path entered

@@ -17,39 +17,24 @@ import (
 
 	"repro/internal/alphabet"
 	"repro/internal/autkern"
-	"repro/internal/budget"
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/ltl"
 	"repro/internal/obs"
 	"repro/internal/omega"
-	"repro/internal/par"
 	"repro/internal/ts"
 )
 
 var (
 	cntVerifyCalls  = obs.NewCounter("mc.verify.calls")
 	cntRefineRounds = obs.NewCounter("mc.refine.rounds")
-	cntLazyNodes    = obs.NewCounter("mc.lazy.nodes_materialized")
 	histRefineSizes = obs.NewHistogram("mc.refine.component_size")
-
-	cntParWaves    = obs.NewCounter("mc.parallel.waves")
-	cntParShards   = obs.NewCounter("mc.parallel.shards")
-	cntParHandoffs = obs.NewCounter("mc.parallel.handoffs")
-	cntParSteals   = obs.NewCounter("mc.parallel.steals")
+	lazyMetrics     = autkern.NewFrontierMetrics("mc.lazy.nodes_materialized", "mc.parallel")
 )
 
 // mcFirstWave is the node bound of the first lazy exploration wave of the
 // fair product; each following wave doubles it (see searchFairAccepting).
 const mcFirstWave = 64
-
-// minShardWave / parMinChunk bound when a parallel explore shards a
-// frontier wave across workers (see the identically named knobs in
-// internal/omega). Variables so the schedule-independence tests can force
-// the sharded path onto small products.
-var (
-	minShardWave = 256
-	parMinChunk  = 64
-)
 
 // Trace is a lasso-shaped computation of the system: the states of the
 // transient prefix followed by the repeating loop.
@@ -159,187 +144,91 @@ func negationAutomaton(f ltl.Formula, props []string) (*omega.Automaton, error) 
 	return comp, nil
 }
 
-// prodEdge is an edge of the fair product graph.
-type prodEdge struct {
-	to    int
-	trans int // index into sys.Transitions()
-}
-
 // product is the synchronous product of the system and a property
 // automaton: node = (system state, automaton state after reading it).
-// Nodes are materialized lazily, in discovery order: nodes below closed
-// have final edge lists, nodes at or above it form the unexplored
-// frontier (nil edge lists). The closed region is therefore always a
-// BFS-reachable prefix of the full product, and any fair accepting
-// component found inside it is a genuine counterexample of the full
-// product — refine inspects only component-internal structure (automaton
-// pairs over the component's q states, fairness enabledness over its
-// system states, and edges between component nodes, all of which are
-// closed), so early exits before full construction are sound. Only the
-// "property holds" verdict requires the whole reachable product.
+// Nodes are materialized lazily by an autkern.Frontier over that pair, in
+// discovery order: nodes below Closed() have final edge rows, nodes at or
+// above it form the unexplored frontier (nil rows). The closed region is
+// therefore always a BFS-reachable prefix of the full product, and any
+// fair accepting component found inside it is a genuine counterexample of
+// the full product — refine inspects only component-internal structure
+// (automaton pairs over the component's q states, fairness enabledness
+// over its system states, and edges between component nodes, all of which
+// are closed), so early exits before full construction are sound. Only
+// the "property holds" verdict requires the whole reachable product.
+//
+// A node's row lists its successors transition by transition, so the
+// transition taking each edge depends only on the node's system state;
+// edgeTrans recovers it instead of the row storing it per edge.
 type product struct {
 	sys    *ts.System
 	aut    *omega.Automaton
-	props  []string
-	in     *autkern.PairInterner // node i ↔ (system state, automaton state)
-	edges  [][]prodEdge
-	closed int // nodes 0..closed-1 have materialized edges
+	f      *autkern.Frontier
 	inits  []int
-	autSym []alphabet.Symbol // per system state, its input symbol
-	symIdx []int             // per system state, its alphabet index in aut
+	symIdx []int     // per system state, its alphabet index in aut
+	trans  [][]int32 // per system state, memoized by edgeTrans
 }
 
 // node returns the (system state, automaton state) of product node i.
-func (p *product) node(i int) (s, q int) { return p.in.Pair(i) }
+func (p *product) node(i int) (s, q int) {
+	k := p.f.Key(i)
+	return int(k[0]), int(k[1])
+}
 
-func (p *product) numNodes() int { return p.in.Len() }
+func (p *product) numNodes() int { return len(p.f.Rows()) }
 
 func newProduct(sys *ts.System, aut *omega.Automaton, props []string) (*product, error) {
 	sp := obs.Start("mc.product").Int("sys_states", sys.NumStates()).Int("aut_states", aut.NumStates())
 	defer sp.End()
-	p := &product{sys: sys, aut: aut, props: props, in: autkern.NewPairInterner()}
-	p.autSym = make([]alphabet.Symbol, sys.NumStates())
+	p := &product{sys: sys, aut: aut}
+	p.f = autkern.NewFrontier(2, fault.SiteMCLazy, lazyMetrics, p.successors)
+	autSym := make([]alphabet.Symbol, sys.NumStates())
 	p.symIdx = make([]int, sys.NumStates())
 	for s := 0; s < sys.NumStates(); s++ {
-		p.autSym[s] = sys.Symbol(s, props)
-		p.symIdx[s] = aut.Alphabet().Index(p.autSym[s])
+		autSym[s] = sys.Symbol(s, props)
+		p.symIdx[s] = aut.Alphabet().Index(autSym[s])
 		if p.symIdx[s] < 0 {
-			return nil, fmt.Errorf("mc: state %q symbol %q not in property alphabet", sys.StateName(s), p.autSym[s])
+			return nil, fmt.Errorf("mc: state %q symbol %q not in property alphabet", sys.StateName(s), autSym[s])
 		}
 	}
 	for _, s0 := range sys.Init() {
-		q0 := aut.Step(aut.Start(), p.autSym[s0])
-		p.inits = append(p.inits, p.get(s0, q0))
+		q0 := aut.Step(aut.Start(), autSym[s0])
+		p.inits = append(p.inits, p.f.Add([]int32{int32(s0), int32(q0)}))
 	}
 	return p, nil
 }
 
-// get interns a product node, returning its index; new nodes join the
-// frontier with no edges.
-func (p *product) get(s, q int) int {
-	i := p.in.Intern(s, q)
-	if i == len(p.edges) {
-		p.edges = append(p.edges, nil)
-	}
-	return i
-}
-
-// explore materializes node edges in discovery order until either the
-// whole reachable product is closed (returning true) or at least limit
-// nodes are. When the context carries a parallelism bound above 1, waves
-// large enough to amortize the goroutine overhead are sharded across
-// workers and merged at a barrier in chunk order, so node ids, edge
-// lists, verdicts and counterexample traces are bit-identical to the
-// sequential path regardless of worker count or interleaving (the same
-// contract ProductExplorer.ExploreCtx documents). One cancellation/budget
-// poll runs per wave; the search itself charges no budget (the automaton
-// constructions feeding it do).
-func (p *product) explore(ctx context.Context, limit int) (bool, error) {
-	before := p.closed
-	defer func() {
-		if d := p.closed - before; d > 0 {
-			cntLazyNodes.Add(int64(d))
-		}
-	}()
-	jobs := par.Jobs(ctx)
-	for p.closed < p.numNodes() && p.closed < limit {
-		if err := budget.Poll(ctx, 0); err != nil {
-			return false, err
-		}
-		waveEnd := p.numNodes()
-		if limit < waveEnd {
-			waveEnd = limit
-		}
-		if jobs <= 1 || waveEnd-p.closed < minShardWave {
-			p.exploreSeq(waveEnd)
-		} else {
-			p.exploreWave(ctx, waveEnd, jobs)
+// successors appends the product successors of node (s, q): for every
+// transition in order, each system successor s2 paired with the
+// automaton's step on s2's symbol.
+func (p *product) successors(key, dst []int32) []int32 {
+	ns, nq := int(key[0]), int(key[1])
+	for _, tr := range p.sys.Transitions() {
+		for _, s2 := range tr.SuccessorsShared(ns) {
+			dst = append(dst, int32(s2), int32(p.aut.StepIndex(nq, p.symIdx[s2])))
 		}
 	}
-	return p.closed == p.numNodes(), nil
+	return dst
 }
 
-// exploreSeq closes nodes up to waveEnd on the calling goroutine.
-func (p *product) exploreSeq(waveEnd int) {
-	for p.closed < waveEnd {
-		i := p.closed
-		ns, nq := p.node(i)
+// edgeTrans returns, per position of node n's row, the index of the
+// transition taking that edge. Memoized per system state; the search and
+// trace extraction call it single-threaded, after exploration.
+func (p *product) edgeTrans(n int) []int32 {
+	s, _ := p.node(n)
+	if p.trans == nil {
+		p.trans = make([][]int32, p.sys.NumStates())
+	}
+	if p.trans[s] == nil {
+		l := make([]int32, 0, len(p.f.Rows()[n]))
 		for ti, tr := range p.sys.Transitions() {
-			for _, s2 := range tr.SuccessorsShared(ns) {
-				q2 := p.aut.StepIndex(nq, p.symIdx[s2])
-				j := p.get(s2, q2)
-				p.edges[i] = append(p.edges[i], prodEdge{to: j, trans: ti})
+			for range tr.SuccessorsShared(s) {
+				l = append(l, int32(ti))
 			}
 		}
-		p.closed++
+		p.trans[s] = l
 	}
-}
-
-// waveShard is one chunk's private discovery state: product nodes not yet
-// in the global interner, recorded in a chunk-local interner during the
-// wave and merged at the barrier; remap takes local ids to global ones.
-type waveShard struct {
-	seen  *autkern.PairInterner
-	remap []int
-}
-
-// exploreWave closes the wave [p.closed, waveEnd) with `jobs` workers:
-// contiguous chunks, read-only lookups against the shared interner,
-// chunk-local interners for unknown nodes (edges carry the negative
-// placeholder -(local+1)), then a barrier merge in chunk order that
-// reproduces the sequential first-seen intern order, followed by
-// placeholder rewriting. See ProductExplorer.exploreWave for the
-// determinism argument; DESIGN.md §13 states the contract.
-func (p *product) exploreWave(ctx context.Context, waveEnd, jobs int) {
-	chunks := par.Split(p.closed, waveEnd, jobs, parMinChunk)
-	shards := make([]waveShard, len(chunks))
-	trans := p.sys.Transitions()
-	st := par.Run(ctx, jobs, len(chunks), func(ci int) {
-		sh := &shards[ci]
-		sh.seen = autkern.NewPairInterner()
-		for i := chunks[ci][0]; i < chunks[ci][1]; i++ {
-			ns, nq := p.node(i)
-			var edges []prodEdge
-			for ti, tr := range trans {
-				for _, s2 := range tr.SuccessorsShared(ns) {
-					q2 := p.aut.StepIndex(nq, p.symIdx[s2])
-					j, ok := p.in.Lookup(s2, q2)
-					if !ok {
-						j = -(sh.seen.Intern(s2, q2) + 1)
-					}
-					edges = append(edges, prodEdge{to: j, trans: ti})
-				}
-			}
-			p.edges[i] = edges
-		}
-	})
-	handoffs := 0
-	for i := range shards {
-		sh := &shards[i]
-		n := sh.seen.Len()
-		sh.remap = make([]int, n)
-		for l := 0; l < n; l++ {
-			x, y := sh.seen.Pair(l)
-			sh.remap[l] = p.get(x, y)
-		}
-		handoffs += n
-	}
-	for ci, c := range chunks {
-		remap := shards[ci].remap
-		for i := c[0]; i < c[1]; i++ {
-			es := p.edges[i]
-			for k := range es {
-				if es[k].to < 0 {
-					es[k].to = remap[-es[k].to-1]
-				}
-			}
-		}
-	}
-	p.closed = waveEnd
-	cntParWaves.Inc()
-	cntParShards.Add(int64(len(chunks)))
-	cntParHandoffs.Add(int64(handoffs))
-	cntParSteals.Add(int64(st.Steals))
+	return p.trans[s]
 }
 
 // searchFairAccepting looks for a fair computation of sys accepted by the
@@ -357,13 +246,13 @@ func searchFairAccepting(ctx context.Context, sys *ts.System, aut *omega.Automat
 	defer sp.End()
 	waves := 0
 	for limit := mcFirstWave; ; limit *= 2 {
-		done, err := p.explore(ctx, limit)
+		done, err := p.f.Explore(ctx, limit)
 		if err != nil {
 			return Trace{}, false, err
 		}
 		waves++
 		allowed := make([]bool, p.numNodes())
-		for i := 0; i < p.closed; i++ {
+		for i := 0; i < p.f.Closed(); i++ {
 			allowed[i] = true
 		}
 		comp, need := p.findFairAcceptingSCC(allowed)
@@ -371,7 +260,7 @@ func searchFairAccepting(ctx context.Context, sys *ts.System, aut *omega.Automat
 			continue
 		}
 		sp.Bool("found", comp != nil).
-			Int("nodes_materialized", p.closed).Int("waves", waves)
+			Int("nodes_materialized", p.f.Closed()).Int("waves", waves)
 		if comp == nil {
 			return Trace{}, false, nil
 		}
@@ -390,8 +279,9 @@ func searchFairAccepting(ctx context.Context, sys *ts.System, aut *omega.Automat
 // either enabled nowhere in C or taken inside C. It returns the set and
 // the transition indices whose edges the witness loop must include.
 func (p *product) findFairAcceptingSCC(allowed []bool) ([]int, []int) {
-	deg := func(q int) int { return len(p.edges[q]) }
-	edge := func(q, i int) int { return p.edges[q][i].to }
+	rows := p.f.Rows()
+	deg := func(q int) int { return len(rows[q]) }
+	edge := func(q, i int) int { return rows[q][i] }
 	for _, comp := range autkern.SCCsFunc(p.numNodes(), deg, edge, allowed) {
 		if !autkern.CyclicFunc(p.numNodes(), comp, deg, edge) {
 			continue
@@ -415,10 +305,12 @@ func (p *product) refine(comp []int) ([]int, []int) {
 		inComp[n] = true
 	}
 	takenInside := make([]bool, len(p.sys.Transitions()))
+	rows := p.f.Rows()
 	for _, n := range comp {
-		for _, e := range p.edges[n] {
-			if inComp[e.to] {
-				takenInside[e.trans] = true
+		trans := p.edgeTrans(n)
+		for i, to := range rows[n] {
+			if inComp[to] {
+				takenInside[trans[i]] = true
 			}
 		}
 	}
@@ -549,17 +441,19 @@ func (p *product) extractTrace(comp []int, needTrans []int) (Trace, bool) {
 			return Trace{}, false
 		}
 	}
+	rows := p.f.Rows()
 	for _, ti := range needTrans {
 		// Find an edge of transition ti inside comp and route through it.
 		found := false
 		for _, from := range comp {
-			for _, e := range p.edges[from] {
-				if e.trans == ti && inComp[e.to] {
+			trans := p.edgeTrans(from)
+			for i, to := range rows[from] {
+				if int(trans[i]) == ti && inComp[to] {
 					if !visit(from) {
 						return Trace{}, false
 					}
-					loop = append(loop, e.to)
-					cur = e.to
+					loop = append(loop, to)
+					cur = to
 					found = true
 					break
 				}
@@ -578,8 +472,8 @@ func (p *product) extractTrace(comp []int, needTrans []int) (Trace, bool) {
 	if len(loop) == 0 {
 		// Singleton component with a self-loop.
 		selfLoop := false
-		for _, e := range p.edges[anchor] {
-			if e.to == anchor {
+		for _, to := range rows[anchor] {
+			if to == anchor {
 				selfLoop = true
 				break
 			}
@@ -632,13 +526,13 @@ func (p *product) shortestPath(sources []int, target int, within []bool) ([]int,
 			}
 			return out, true
 		}
-		for _, e := range p.edges[n] {
-			if within != nil && !within[e.to] {
+		for _, to := range p.f.Rows()[n] {
+			if within != nil && !within[to] {
 				continue
 			}
-			if prev[e.to] == -2 {
-				prev[e.to] = n
-				queue = append(queue, e.to)
+			if prev[to] == -2 {
+				prev[to] = n
+				queue = append(queue, to)
 			}
 		}
 	}

@@ -28,12 +28,17 @@ func schedCtx(jobs int, seed int64) context.Context {
 	return ctx
 }
 
+// smallWavesCtx is schedCtx with the sharding thresholds shrunk so the
+// scenario corpus's small products take the sharded path.
+func smallWavesCtx(jobs int, seed int64) context.Context {
+	return par.WithShardThresholds(schedCtx(jobs, seed), 2, 1)
+}
+
 // TestVerifyScheduleIndependence sweeps every scenario-family spec across
 // worker counts and perturbed schedules and asserts the full Result —
 // verdict, counterexample states, product size — matches the sequential
 // oracle bit for bit.
 func TestVerifyScheduleIndependence(t *testing.T) {
-	defer mc.SetShardThresholdsForTest(2, 1)()
 	waves := obs.NewCounter("mc.parallel.waves")
 	wavesBefore := waves.Value()
 	defer func() {
@@ -47,7 +52,7 @@ func TestVerifyScheduleIndependence(t *testing.T) {
 		for _, spec := range tc.specs {
 			f := ltl.MustParse(spec.Formula)
 			seqBefore := cntLazyNodesRead.Value()
-			seq, err := mc.VerifyCtx(schedCtx(1, 0), tc.sys, f)
+			seq, err := mc.VerifyCtx(smallWavesCtx(1, 0), tc.sys, f)
 			if err != nil {
 				t.Fatalf("%s: %s: %v", name, spec.Formula, err)
 			}
@@ -57,7 +62,7 @@ func TestVerifyScheduleIndependence(t *testing.T) {
 				seed int64
 			}{{2, 0}, {8, 0}, {2, 3}, {8, 11}} {
 				before := cntLazyNodesRead.Value()
-				res, err := mc.VerifyCtx(schedCtx(sched.jobs, sched.seed), tc.sys, f)
+				res, err := mc.VerifyCtx(smallWavesCtx(sched.jobs, sched.seed), tc.sys, f)
 				if err != nil {
 					t.Fatalf("%s: %s jobs=%d: %v", name, spec.Formula, sched.jobs, err)
 				}

@@ -6,32 +6,14 @@ import (
 
 	"repro/internal/alphabet"
 	"repro/internal/autkern"
-	"repro/internal/budget"
 	"repro/internal/fault"
 	"repro/internal/obs"
-	"repro/internal/par"
 )
 
 var (
-	cntLazyStates     = obs.NewCounter("omega.lazy.states_materialized")
+	lazyMetrics       = autkern.NewFrontierMetrics("omega.lazy.states_materialized", "omega.parallel")
 	cntLazyEarlyExits = obs.NewCounter("omega.lazy.early_exits")
 	maxLazyStates     = obs.NewGauge("omega.lazy.max_states")
-
-	cntParWaves    = obs.NewCounter("omega.parallel.waves")
-	cntParShards   = obs.NewCounter("omega.parallel.shards")
-	cntParHandoffs = obs.NewCounter("omega.parallel.handoffs")
-	cntParSteals   = obs.NewCounter("omega.parallel.steals")
-)
-
-// minShardWave is the smallest frontier a parallel ExploreCtx bothers to
-// shard across workers; below it the goroutine and barrier overhead beats
-// any speedup and exploration stays on the sequential path. parMinChunk
-// bounds per-worker chunks from below for the same reason. Variables, not
-// constants: the schedule-independence tests shrink them to force the
-// sharded path onto small products.
-var (
-	minShardWave = 256
-	parMinChunk  = 64
 )
 
 // defaultFirstWave is the number of product states the first exploration
@@ -51,34 +33,26 @@ const defaultFirstWave = 64
 // the moment a witness appears, so a counterexample reachable in a few
 // steps never pays for a product that is orders of magnitude larger.
 //
-// States move through two phases. A state is *discovered* when some
-// materialized transition targets it (it has an index and lifted
-// acceptance bits, but no successor row yet) and *materialized* (closed)
-// when its successor row has been computed. States close in discovery
-// order, so the closed region is always a BFS-reachable prefix: every
-// closed state is reachable from the start through closed states.
-// Each closed state charges one state against the context budget —
-// exactly the accounting of the eager product — and hits the
-// fault.SiteOmegaLazy injection site.
+// The exploration itself — interning, the closed BFS prefix, per-state
+// governance (fault.SiteOmegaLazy, cancellation, one budget state per
+// closed state, exactly the accounting of the eager product) and sharded
+// waves — is an autkern.Frontier over the tuple of factor states; this
+// type adds the product's transition function and its acceptance.
 //
-// The acceptance lists of all factors are lifted to the product as they
-// are discovered (Streett conditions are conjunctive, so the product
-// needs no further machinery); PairRange locates the pairs of one
-// factor inside the lifted list. An explorer is not safe for concurrent
-// use; concurrent queries each build their own.
+// The acceptance lists of all factors are lifted to the product (Streett
+// conditions are conjunctive, so the product needs no further
+// machinery); PairRange locates the pairs of one factor inside the lifted
+// list. An explorer is not safe for concurrent use; concurrent queries
+// each build their own.
 type ProductExplorer struct {
 	autos []*Automaton
 	alpha *alphabet.Alphabet
-	nf    int // number of factors
 	k     int // alphabet size
+	f     *autkern.Frontier
 
-	index  *autkern.TupleInterner
-	tuples []int32 // tuple of state i at [i*nf : (i+1)*nf]
-	trans  [][]int // successor rows; nil until the state is closed
-	closed int     // states 0..closed-1 have materialized rows
-
-	pairs      []Pair // lifted acceptance, grown per discovered state
-	pairOffset []int  // pairOffset[f] = first lifted pair of factor f
+	pairs      []Pair // lifted acceptance of states 0..lifted-1
+	lifted     int
+	pairOffset []int // pairOffset[f] = first lifted pair of factor f
 }
 
 // errAlphabetMismatch builds the diagnostic for a product, containment
@@ -101,13 +75,8 @@ func NewProductExplorer(autos ...*Automaton) (*ProductExplorer, error) {
 			return nil, errAlphabetMismatch("product", alpha, a.alpha)
 		}
 	}
-	e := &ProductExplorer{
-		autos: autos,
-		alpha: alpha,
-		nf:    len(autos),
-		k:     alpha.Size(),
-		index: autkern.NewTupleInterner(),
-	}
+	e := &ProductExplorer{autos: autos, alpha: alpha, k: alpha.Size()}
+	e.f = autkern.NewFrontier(len(autos), fault.SiteOmegaLazy, lazyMetrics, e.successors)
 	npairs := 0
 	for _, a := range autos {
 		e.pairOffset = append(e.pairOffset, npairs)
@@ -115,232 +84,44 @@ func NewProductExplorer(autos ...*Automaton) (*ProductExplorer, error) {
 	}
 	e.pairOffset = append(e.pairOffset, npairs)
 	e.pairs = make([]Pair, npairs)
-	start := make([]int32, e.nf)
+	start := make([]int32, len(autos))
 	for f, a := range autos {
 		start[f] = int32(a.kern.Start())
 	}
-	e.discover(start)
+	e.f.Add(start)
 	return e, nil
 }
 
-// discover interns a product tuple, lifting every factor's acceptance
-// bits onto the new state, and returns its index.
-func (e *ProductExplorer) discover(t []int32) int {
-	i, fresh := e.index.Intern32(t)
-	if !fresh {
-		return i
-	}
-	e.tuples = append(e.tuples, t...)
-	e.trans = append(e.trans, nil)
-	for f, a := range e.autos {
-		q := int(t[f])
-		for j := range a.pairs {
-			lp := &e.pairs[e.pairOffset[f]+j]
-			lp.R = append(lp.R, a.pairs[j].R[q])
-			lp.P = append(lp.P, a.pairs[j].P[q])
+// successors appends the product successor of tuple t on every symbol,
+// in symbol order: the state's row is its transition row.
+func (e *ProductExplorer) successors(t, dst []int32) []int32 {
+	for s := 0; s < e.k; s++ {
+		for f, a := range e.autos {
+			dst = append(dst, int32(a.kern.Step(int(t[f]), s)))
 		}
 	}
-	return i
+	return dst
 }
 
 // ExploreCtx materializes product states in discovery order until either
 // the whole reachable product is closed (done=true) or at least limit
-// states are closed. Progress is monotone: calling with a limit at or
-// below the closed count is a no-op.
-//
-// When the context carries a parallelism bound above 1 (par.WithJobs —
-// the engine attaches its worker-pool bound, the CLIs' -jobs flag feeds
-// it), each frontier wave large enough to amortize the goroutine overhead
-// is sharded across workers and merged at a barrier. The two paths are
-// bit-identical in every observable: states close in index order either
-// way, successor tuples are interned in (state, symbol) scan order either
-// way (the barrier merge walks chunks in ascending order, see
-// exploreWave), and the per-state governance — fault site, cancellation
-// poll, budget charge — runs sequentially in state order either way. So
-// dense ids, rows, lifted pairs, verdicts, witnesses and state-count
-// metrics never depend on the worker count or interleaving.
+// states are closed; see autkern.Frontier.Explore, which also shards
+// large waves when the context carries a parallelism bound (par.WithJobs
+// — the engine attaches its worker-pool bound, the CLIs' -jobs flag feeds
+// it) with results bit-identical to the sequential path.
 func (e *ProductExplorer) ExploreCtx(ctx context.Context, limit int) (done bool, err error) {
-	before := e.closed
-	defer func() { e.note(before) }()
-	jobs := par.Jobs(ctx)
-	if jobs <= 1 {
-		if err := e.exploreSeq(ctx, limit); err != nil {
-			return false, err
-		}
-		return e.closed == len(e.trans), nil
-	}
-	for e.closed < len(e.trans) && e.closed < limit {
-		waveEnd := len(e.trans)
-		if limit < waveEnd {
-			waveEnd = limit
-		}
-		if waveEnd-e.closed < minShardWave {
-			// Too small to shard: close just this frontier sequentially;
-			// the wave it discovers may be large enough.
-			if err := e.exploreSeq(ctx, waveEnd); err != nil {
-				return false, err
-			}
-			continue
-		}
-		charged, gerr := e.governWave(ctx, waveEnd)
-		if charged > e.closed {
-			e.exploreWave(ctx, charged, jobs)
-		}
-		if gerr != nil {
-			return false, gerr
-		}
-	}
-	return e.closed == len(e.trans), nil
-}
-
-// exploreSeq is the single-goroutine exploration loop: per state, run the
-// governance hooks, compute the successor row, intern the targets.
-func (e *ProductExplorer) exploreSeq(ctx context.Context, limit int) error {
-	cur := make([]int32, e.nf)
-	next := make([]int32, e.nf)
-	for e.closed < len(e.trans) && e.closed < limit {
-		if err := fault.Hit(fault.SiteOmegaLazy); err != nil {
-			return err
-		}
-		if err := budget.Poll(ctx, 0); err != nil {
-			return err
-		}
-		if err := budget.ChargeStates(ctx, 1); err != nil {
-			return err
-		}
-		q := e.closed
-		// Copy the tuple out: discover may grow (and reallocate) e.tuples.
-		copy(cur, e.tuples[q*e.nf:(q+1)*e.nf])
-		row := make([]int, e.k)
-		for s := 0; s < e.k; s++ {
-			for f, a := range e.autos {
-				next[f] = int32(a.kern.Step(int(cur[f]), s))
-			}
-			row[s] = e.discover(next)
-		}
-		e.trans[q] = row
-		e.closed++
-	}
-	return nil
-}
-
-// governWave runs the sequential path's per-state governance — fault
-// site, cancellation poll, budget charge, in state order — for the whole
-// wave [e.closed, waveEnd) before any worker touches it. On error the
-// wave shrinks to the charged prefix, so the closed count, the budget
-// spend and the Nth-hit fault semantics degrade exactly as the
-// single-goroutine path does.
-func (e *ProductExplorer) governWave(ctx context.Context, waveEnd int) (charged int, err error) {
-	for q := e.closed; q < waveEnd; q++ {
-		if err := fault.Hit(fault.SiteOmegaLazy); err != nil {
-			return q, err
-		}
-		if err := budget.Poll(ctx, 0); err != nil {
-			return q, err
-		}
-		if err := budget.ChargeStates(ctx, 1); err != nil {
-			return q, err
-		}
-	}
-	return waveEnd, nil
-}
-
-// waveShard is one chunk's private discovery state: tuples not yet in the
-// global interner, recorded against a chunk-local interner while the wave
-// is in flight and merged into the global one at the barrier. remap takes
-// chunk-local ids to the global dense ids the merge assigned.
-type waveShard struct {
-	seen   *autkern.KeyInterner
-	tuples []int32
-	remap  []int
-}
-
-// exploreWave closes the wave [e.closed, waveEnd) with `jobs` workers.
-// The wave is split into contiguous chunks; workers fill each state's
-// successor row, resolving targets through the global interner read-only
-// and recording unknown tuples in a chunk-local shard (rows carry the
-// negative placeholder -(local+1) for those). At the barrier the shards
-// are merged into the global interner in chunk order — chunks are
-// ascending state ranges and each shard lists first local occurrences in
-// (state, symbol) scan order, so the merged intern order is exactly the
-// sequential scan's first-seen order and dense ids are schedule- and
-// worker-count-independent. The placeholders are then rewritten through
-// each shard's remap table.
-func (e *ProductExplorer) exploreWave(ctx context.Context, waveEnd, jobs int) {
-	chunks := par.Split(e.closed, waveEnd, jobs, parMinChunk)
-	shards := make([]waveShard, len(chunks))
-	nf, k := e.nf, e.k
-	st := par.Run(ctx, jobs, len(chunks), func(ci int) {
-		sh := &shards[ci]
-		sh.seen = autkern.NewKeyInterner()
-		cur := make([]int32, nf)
-		next := make([]int32, nf)
-		var key []byte
-		for q := chunks[ci][0]; q < chunks[ci][1]; q++ {
-			copy(cur, e.tuples[q*nf:(q+1)*nf])
-			row := make([]int, k)
-			for s := 0; s < k; s++ {
-				for f, a := range e.autos {
-					next[f] = int32(a.kern.Step(int(cur[f]), s))
-				}
-				key = autkern.TupleKey32(key[:0], next)
-				if g, ok := e.index.LookupKey(key); ok {
-					row[s] = g
-					continue
-				}
-				l, fresh := sh.seen.Intern(key)
-				if fresh {
-					sh.tuples = append(sh.tuples, next...)
-				}
-				row[s] = -(l + 1)
-			}
-			e.trans[q] = row
-		}
-	})
-	handoffs := 0
-	for i := range shards {
-		sh := &shards[i]
-		n := len(sh.tuples) / nf
-		sh.remap = make([]int, n)
-		for l := 0; l < n; l++ {
-			sh.remap[l] = e.discover(sh.tuples[l*nf : (l+1)*nf])
-		}
-		handoffs += n
-	}
-	for ci, c := range chunks {
-		remap := shards[ci].remap
-		for q := c[0]; q < c[1]; q++ {
-			row := e.trans[q]
-			for s, v := range row {
-				if v < 0 {
-					row[s] = remap[-v-1]
-				}
-			}
-		}
-	}
-	e.closed = waveEnd
-	cntParWaves.Inc()
-	cntParShards.Add(int64(len(chunks)))
-	cntParHandoffs.Add(int64(handoffs))
-	cntParSteals.Add(int64(st.Steals))
-}
-
-// note records the states materialized since the closed count was
-// `before` in the lazy-exploration metrics.
-func (e *ProductExplorer) note(before int) {
-	if d := e.closed - before; d > 0 {
-		cntLazyStates.Add(int64(d))
-		maxLazyStates.Max(int64(e.closed))
-	}
+	done, err = e.f.Explore(ctx, limit)
+	maxLazyStates.Max(int64(e.f.Closed()))
+	return done, err
 }
 
 // Materialized returns the number of closed states — states whose
 // successor rows have been computed and whose cost has been charged.
-func (e *ProductExplorer) Materialized() int { return e.closed }
+func (e *ProductExplorer) Materialized() int { return e.f.Closed() }
 
 // Discovered returns the number of states interned so far (closed states
 // plus the unexplored frontier).
-func (e *ProductExplorer) Discovered() int { return len(e.trans) }
+func (e *ProductExplorer) Discovered() int { return len(e.f.Rows()) }
 
 // PairRange returns the half-open range [lo, hi) of factor f's lifted
 // pairs inside the product's acceptance list.
@@ -350,9 +131,9 @@ func (e *ProductExplorer) PairRange(f int) (lo, hi int) {
 
 // StateTuple returns the factor states of product state i.
 func (e *ProductExplorer) StateTuple(i int) []int {
-	out := make([]int, e.nf)
-	for f := range out {
-		out[f] = int(e.tuples[i*e.nf+f])
+	out := make([]int, len(e.autos))
+	for f, q := range e.f.Key(i) {
+		out[f] = int(q)
 	}
 	return out
 }
@@ -369,18 +150,30 @@ func (e *ProductExplorer) StateTuple(i int) []int {
 // the view's slices alias, so a view is only valid until the next
 // ExploreCtx call — the lazy procedures build a fresh one per wave.
 func (e *ProductExplorer) view() (*Automaton, []bool) {
-	n := len(e.trans)
+	rows := e.f.Rows()
+	n := len(rows)
+	// Lift every factor's acceptance bits onto the states discovered
+	// since the last view.
+	for ; e.lifted < n; e.lifted++ {
+		for f, q := range e.f.Key(e.lifted) {
+			for j, p := range e.autos[f].pairs {
+				lp := &e.pairs[e.pairOffset[f]+j]
+				lp.R = append(lp.R, p.R[q])
+				lp.P = append(lp.P, p.P[q])
+			}
+		}
+	}
 	pairs := make([]Pair, len(e.pairs))
 	for i, p := range e.pairs {
 		pairs[i] = Pair{R: p.R[:n:n], P: p.P[:n:n]}
 	}
 	v := &Automaton{
 		alpha: e.alpha,
-		kern:  autkern.New(e.trans[:n:n], e.k, 0),
+		kern:  autkern.New(rows[:n:n], e.k, 0),
 		pairs: pairs,
 	}
 	closed := make([]bool, n)
-	for i := 0; i < e.closed; i++ {
+	for i := 0; i < e.f.Closed(); i++ {
 		closed[i] = true
 	}
 	return v, closed

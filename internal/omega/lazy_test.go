@@ -15,10 +15,14 @@ import (
 	"repro/internal/alphabet"
 	"repro/internal/budget"
 	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/word"
 )
 
-var lazyAB = alphabet.MustLetters("ab")
+var (
+	lazyAB        = alphabet.MustLetters("ab")
+	cntLazyStates = obs.NewCounter("omega.lazy.states_materialized")
+)
 
 // modCounter mirrors gen.ModCounter (gen imports omega, so in-package
 // tests rebuild the fixture locally): counts 'a' symbols mod m with one

@@ -4,9 +4,10 @@ package omega_test
 // same queries run at jobs ∈ {1, 2, 8} and under seeded schedule
 // perturbation (randomized chunk hand-out, worker delays) must produce
 // bit-identical verdicts, witness lassos, interned state sequences and
-// states-materialized counts. The sharding thresholds are shrunk via the
-// test hook so the differential corpus's small products actually take
-// the sharded path; the stress tests use full-size products.
+// states-materialized counts. The sharding thresholds are shrunk via
+// par.WithShardThresholds so the differential corpus's small products
+// actually take the sharded path; the stress tests use full-size products
+// at the production thresholds.
 
 import (
 	"context"
@@ -36,12 +37,17 @@ func jobsCtx(jobs int, seed int64) context.Context {
 	return ctx
 }
 
+// smallWavesCtx is jobsCtx with the sharding thresholds shrunk so every
+// wave of two or more states is sharded.
+func smallWavesCtx(jobs int, seed int64) context.Context {
+	return par.WithShardThresholds(jobsCtx(jobs, seed), 2, 1)
+}
+
 // TestContainsScheduleIndependence sweeps the differential corpus's
 // random containment queries across worker counts and perturbed
 // schedules, asserting bit-identical verdicts, witnesses and
 // states-materialized deltas against the sequential oracle.
 func TestContainsScheduleIndependence(t *testing.T) {
-	defer omega.SetShardThresholdsForTest(2, 1)()
 	waves := obs.NewCounter("omega.parallel.waves")
 	wavesBefore := waves.Value()
 	defer func() {
@@ -56,7 +62,7 @@ func TestContainsScheduleIndependence(t *testing.T) {
 	for i := 0; i < pairs; i++ {
 		a, b := randomPair(rng)
 		seqBefore := cntLazyStatesRead.Value()
-		seqOK, seqW, err := a.ContainsCtx(jobsCtx(1, 0), b)
+		seqOK, seqW, err := a.ContainsCtx(smallWavesCtx(1, 0), b)
 		if err != nil {
 			t.Fatalf("pair %d sequential: %v", i, err)
 		}
@@ -66,7 +72,7 @@ func TestContainsScheduleIndependence(t *testing.T) {
 			seed int64
 		}{{2, 0}, {8, 0}, {2, int64(i) + 1}, {8, int64(i) + 101}} {
 			before := cntLazyStatesRead.Value()
-			ok, w, err := a.ContainsCtx(jobsCtx(sched.jobs, sched.seed), b)
+			ok, w, err := a.ContainsCtx(smallWavesCtx(sched.jobs, sched.seed), b)
 			if err != nil {
 				t.Fatalf("pair %d jobs=%d seed=%d: %v", i, sched.jobs, sched.seed, err)
 			}
@@ -91,7 +97,6 @@ func TestContainsScheduleIndependence(t *testing.T) {
 // the substrate every verdict, witness and cached StructuralKey is built
 // from — is bit-identical to the sequential run's.
 func TestExplorerScheduleIndependence(t *testing.T) {
-	defer omega.SetShardThresholdsForTest(2, 1)()
 	rng := rand.New(rand.NewSource(42))
 	explore := func(jobs int, seed int64, autos ...*omega.Automaton) *omega.ProductExplorer {
 		t.Helper()
@@ -100,7 +105,7 @@ func TestExplorerScheduleIndependence(t *testing.T) {
 			t.Fatal(err)
 		}
 		for {
-			done, err := e.ExploreCtx(jobsCtx(jobs, seed), e.Discovered())
+			done, err := e.ExploreCtx(smallWavesCtx(jobs, seed), e.Discovered())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -136,18 +141,17 @@ func TestExplorerScheduleIndependence(t *testing.T) {
 // TestIntersectWitnessScheduleIndependence sweeps the multi-factor lazy
 // intersection witness over worker counts.
 func TestIntersectWitnessScheduleIndependence(t *testing.T) {
-	defer omega.SetShardThresholdsForTest(2, 1)()
 	fams := [][]*omega.Automaton{
 		gen.EarlyWitnessIntersection(ab, 2, 3, 5),
 		gen.EmptyIntersectionFamily(ab, 4, 3),
 	}
 	for fi, autos := range fams {
-		seqW, seqOK, err := omega.IntersectWitnessCtx(jobsCtx(1, 0), autos...)
+		seqW, seqOK, err := omega.IntersectWitnessCtx(smallWavesCtx(1, 0), autos...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, jobs := range []int{2, 8} {
-			w, ok, err := omega.IntersectWitnessCtx(jobsCtx(jobs, int64(fi)+1), autos...)
+			w, ok, err := omega.IntersectWitnessCtx(smallWavesCtx(jobs, int64(fi)+1), autos...)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,18 +1,20 @@
 // Package par is the scheduling substrate of the sharded state-space
 // search: it carries the engine's parallelism bound through contexts,
-// partitions exploration waves into contiguous chunks, and runs chunk
-// workers with dynamic (work-stealing) hand-out.
+// decides which exploration waves are worth sharding and partitions them
+// into contiguous chunks, and runs chunk workers with dynamic
+// (work-stealing) hand-out.
 //
 // The package deliberately knows nothing about automata. The exploration
-// layers (internal/omega, internal/mc) own the determinism argument —
-// chunk results are merged at a barrier in chunk order, so dense state
-// ids never depend on which worker ran first — and par's only obligation
-// is that every chunk is processed exactly once before Run returns.
+// frontier (autkern.Frontier) owns the determinism argument — chunk
+// results are merged at a barrier in chunk order, so dense state ids
+// never depend on which worker ran first — and par's only obligation is
+// that every chunk is processed exactly once before Run returns.
 //
-// A seeded perturbation mode (WithPerturb) randomizes the chunk hand-out
-// order and injects microsecond-scale worker delays. It exists for the
-// schedule-independence suite: a perturbed run must produce bit-identical
-// results, and the seed makes any failure replayable.
+// Two test-only context hooks widen what the schedule-independence
+// suites cover: WithPerturb randomizes the chunk hand-out order and
+// injects microsecond-scale worker delays (the seed makes any failure
+// replayable), and WithShardThresholds lowers the sharding thresholds so
+// small products take the sharded path.
 package par
 
 import (
@@ -27,6 +29,8 @@ type jobsKey struct{}
 
 type perturbKey struct{}
 
+type thresholdsKey struct{}
+
 // WithJobs returns a context carrying the parallelism bound n (clamped to
 // at least 1) for the sharded exploration waves downstream of it.
 func WithJobs(ctx context.Context, n int) context.Context {
@@ -36,11 +40,11 @@ func WithJobs(ctx context.Context, n int) context.Context {
 	return context.WithValue(ctx, jobsKey{}, n)
 }
 
-// Jobs returns the context's parallelism bound; 1 (fully sequential) when
+// jobs returns the context's parallelism bound; 1 (fully sequential) when
 // none was attached, so library callers outside an engine request keep
 // the single-goroutine behavior.
-func Jobs(ctx context.Context) int {
-	if n, ok := ctx.Value(jobsKey{}).(int); ok {
+func jobs(ctx context.Context) int {
+	if n, ok := JobsFrom(ctx); ok {
 		return n
 	}
 	return 1
@@ -81,33 +85,47 @@ func perturbFrom(ctx context.Context) *perturb {
 // stealing the remainder instead of stalling the wave barrier.
 const chunksPerWorker = 4
 
-// Split partitions [lo, hi) into at most jobs*chunksPerWorker contiguous
-// half-open chunks of at least minChunk items each. The boundaries depend
-// only on the arguments — never on scheduling — which the exploration
-// layers rely on for their barrier-merge determinism argument.
-func Split(lo, hi, jobs, minChunk int) [][2]int {
-	n := hi - lo
-	if n <= 0 {
+// thresholds are the sharding knobs: minWave is the smallest wave worth
+// sharding (below it the goroutine and barrier overhead beats any
+// speedup), minChunk bounds chunks from below for the same reason.
+type thresholds struct{ minWave, minChunk int }
+
+var defaultThresholds = thresholds{minWave: 256, minChunk: 64}
+
+// WithShardThresholds returns a context under which Split shards waves
+// of at least minWave items into chunks of at least minChunk. Test-only
+// by intent: the schedule-independence suites shrink both so the small
+// products of their corpora take the sharded path.
+func WithShardThresholds(ctx context.Context, minWave, minChunk int) context.Context {
+	return context.WithValue(ctx, thresholdsKey{}, thresholds{minWave, minChunk})
+}
+
+// Split decides whether the wave [lo, hi) is sharded under the context's
+// parallelism bound and thresholds. It returns nil when the wave should
+// run sequentially — a bound of 1 or a wave below the minimum — and
+// otherwise at most jobs*chunksPerWorker contiguous half-open chunks of
+// at least the minimum chunk size. The boundaries depend only on the
+// arguments and the context — never on scheduling — which the frontier
+// relies on for its barrier-merge determinism argument.
+func Split(ctx context.Context, lo, hi int) [][2]int {
+	n, j := hi-lo, jobs(ctx)
+	if j <= 1 || n <= 0 {
 		return nil
 	}
-	if minChunk < 1 {
-		minChunk = 1
+	th, ok := ctx.Value(thresholdsKey{}).(thresholds)
+	if !ok {
+		th = defaultThresholds
 	}
-	target := jobs * chunksPerWorker
-	if target < 1 {
-		target = 1
+	if n < th.minWave {
+		return nil
 	}
-	size := (n + target - 1) / target
-	if size < minChunk {
-		size = minChunk
+	size := (n + j*chunksPerWorker - 1) / (j * chunksPerWorker)
+	if size < th.minChunk {
+		size = th.minChunk
 	}
 	chunks := make([][2]int, 0, (n+size-1)/size)
 	for s := lo; s < hi; s += size {
-		e := s + size
-		if e > hi {
-			e = hi
-		}
-		chunks = append(chunks, [2]int{s, e})
+		chunks = append(chunks, [2]int{s, min(s+size, hi)})
 	}
 	return chunks
 }
@@ -122,16 +140,17 @@ type Stats struct {
 }
 
 // Run executes process(chunk) for every chunk index in [0, nchunks) on up
-// to `workers` goroutines and returns once all chunks completed — it is
-// the wave barrier. Chunks are claimed dynamically off a shared atomic
+// to the context's parallelism bound of goroutines and returns once all
+// chunks completed — it is the wave barrier. Chunks are claimed dynamically off a shared atomic
 // cursor; under WithPerturb the claim order is a seeded permutation and
 // workers sleep briefly between claims. A panic in process is re-raised
 // on the calling goroutine after the barrier, so the engine's recovery
 // boundary sees it exactly as it would a sequential panic.
-func Run(ctx context.Context, workers, nchunks int, process func(chunk int)) Stats {
+func Run(ctx context.Context, nchunks int, process func(chunk int)) Stats {
 	if nchunks <= 0 {
 		return Stats{}
 	}
+	workers := jobs(ctx)
 	if workers > nchunks {
 		workers = nchunks
 	}

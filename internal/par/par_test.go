@@ -9,8 +9,8 @@ import (
 
 func TestJobsDefaultsToSequential(t *testing.T) {
 	ctx := context.Background()
-	if got := Jobs(ctx); got != 1 {
-		t.Fatalf("Jobs on bare context = %d, want 1", got)
+	if got := jobs(ctx); got != 1 {
+		t.Fatalf("jobs on bare context = %d, want 1", got)
 	}
 	if _, ok := JobsFrom(ctx); ok {
 		t.Fatalf("JobsFrom on bare context reported a bound")
@@ -19,29 +19,35 @@ func TestJobsDefaultsToSequential(t *testing.T) {
 
 func TestWithJobsClampsAndRoundTrips(t *testing.T) {
 	ctx := WithJobs(context.Background(), 8)
-	if got := Jobs(ctx); got != 8 {
-		t.Fatalf("Jobs = %d, want 8", got)
+	if got := jobs(ctx); got != 8 {
+		t.Fatalf("jobs = %d, want 8", got)
 	}
 	if n, ok := JobsFrom(ctx); !ok || n != 8 {
 		t.Fatalf("JobsFrom = (%d, %v), want (8, true)", n, ok)
 	}
-	if got := Jobs(WithJobs(context.Background(), 0)); got != 1 {
-		t.Fatalf("Jobs after WithJobs(0) = %d, want clamped 1", got)
+	if got := jobs(WithJobs(context.Background(), 0)); got != 1 {
+		t.Fatalf("jobs after WithJobs(0) = %d, want clamped 1", got)
 	}
-	if got := Jobs(WithJobs(context.Background(), -3)); got != 1 {
-		t.Fatalf("Jobs after WithJobs(-3) = %d, want clamped 1", got)
+	if got := jobs(WithJobs(context.Background(), -3)); got != 1 {
+		t.Fatalf("jobs after WithJobs(-3) = %d, want clamped 1", got)
 	}
+}
+
+// splitCtx pins a parallelism bound and shrinks the wave threshold to 1,
+// so Split always shards and only the chunk-size rules are under test.
+func splitCtx(jobs, minChunk int) context.Context {
+	return WithShardThresholds(WithJobs(context.Background(), jobs), 1, minChunk)
 }
 
 func TestSplitCoversRangeContiguously(t *testing.T) {
 	for _, tc := range []struct{ lo, hi, jobs, minChunk int }{
 		{0, 1000, 4, 1},
 		{7, 9, 8, 1},
-		{0, 1000, 1, 64},
+		{0, 1000, 2, 64},
 		{100, 5000, 8, 64},
 		{0, 3, 16, 256},
 	} {
-		chunks := Split(tc.lo, tc.hi, tc.jobs, tc.minChunk)
+		chunks := Split(splitCtx(tc.jobs, tc.minChunk), tc.lo, tc.hi)
 		if len(chunks) == 0 {
 			t.Fatalf("Split(%+v): no chunks", tc)
 		}
@@ -67,11 +73,41 @@ func TestSplitCoversRangeContiguously(t *testing.T) {
 }
 
 func TestSplitEmptyRange(t *testing.T) {
-	if got := Split(5, 5, 4, 1); got != nil {
+	ctx := splitCtx(4, 1)
+	if got := Split(ctx, 5, 5); got != nil {
 		t.Fatalf("Split on empty range = %v, want nil", got)
 	}
-	if got := Split(9, 5, 4, 1); got != nil {
+	if got := Split(ctx, 9, 5); got != nil {
 		t.Fatalf("Split on inverted range = %v, want nil", got)
+	}
+}
+
+// TestSplitThresholds pins when a wave is sharded at all: never without a
+// parallelism bound above 1, never below the minimum wave (256 by default,
+// lowered per context by WithShardThresholds), always at or above it.
+func TestSplitThresholds(t *testing.T) {
+	bg := context.Background()
+	for _, tc := range []struct {
+		name  string
+		ctx   context.Context
+		n     int
+		shard bool
+	}{
+		{"no bound", bg, 10000, false},
+		{"bound 1", WithJobs(bg, 1), 10000, false},
+		{"below default wave", WithJobs(bg, 2), 255, false},
+		{"at default wave", WithJobs(bg, 2), 256, true},
+		{"below lowered wave", WithShardThresholds(WithJobs(bg, 2), 2, 1), 1, false},
+		{"at lowered wave", WithShardThresholds(WithJobs(bg, 2), 2, 1), 2, true},
+	} {
+		if got := Split(tc.ctx, 0, tc.n) != nil; got != tc.shard {
+			t.Errorf("%s: sharded=%v, want %v", tc.name, got, tc.shard)
+		}
+	}
+	// Default chunking: 256 items over 2 workers is 8 target chunks, but
+	// the 64-item minimum caps it at 4.
+	if got := len(Split(WithJobs(bg, 2), 0, 256)); got != 4 {
+		t.Errorf("default chunking of a 256-item wave at jobs=2: %d chunks, want 4", got)
 	}
 }
 
@@ -79,7 +115,7 @@ func TestRunProcessesEveryChunkOnce(t *testing.T) {
 	const n = 100
 	for _, workers := range []int{1, 2, 8, 200} {
 		var counts [n]atomic.Int32
-		st := Run(context.Background(), workers, n, func(ci int) {
+		st := Run(WithJobs(context.Background(), workers), n, func(ci int) {
 			counts[ci].Add(1)
 		})
 		for ci := range counts {
@@ -98,10 +134,10 @@ func TestRunProcessesEveryChunkOnce(t *testing.T) {
 
 func TestRunPerturbedStillProcessesEveryChunkOnce(t *testing.T) {
 	const n = 64
-	ctx := WithPerturb(context.Background(), 42)
+	ctx := WithPerturb(WithJobs(context.Background(), 8), 42)
 	for wave := 0; wave < 3; wave++ {
 		var counts [n]atomic.Int32
-		Run(ctx, 8, n, func(ci int) { counts[ci].Add(1) })
+		Run(ctx, n, func(ci int) { counts[ci].Add(1) })
 		for ci := range counts {
 			if got := counts[ci].Load(); got != 1 {
 				t.Fatalf("wave %d: chunk %d processed %d times", wave, ci, got)
@@ -111,7 +147,7 @@ func TestRunPerturbedStillProcessesEveryChunkOnce(t *testing.T) {
 }
 
 func TestRunZeroChunks(t *testing.T) {
-	st := Run(context.Background(), 4, 0, func(int) {
+	st := Run(WithJobs(context.Background(), 4), 0, func(int) {
 		t.Fatal("process called with no chunks")
 	})
 	if st != (Stats{}) {
@@ -131,7 +167,7 @@ func TestRunPropagatesWorkerPanic(t *testing.T) {
 					t.Fatalf("workers=%d: unexpected panic value %v", workers, r)
 				}
 			}()
-			Run(context.Background(), workers, 16, func(ci int) {
+			Run(WithJobs(context.Background(), workers), 16, func(ci int) {
 				if ci == 7 {
 					panic("boom in chunk 7")
 				}

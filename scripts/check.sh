@@ -96,6 +96,21 @@ fi
 [ "$lint_fail" -eq 0 ] || exit 1
 echo "autkern lint ok"
 
+# Frontier lint: on-the-fly product exploration — the sequential loop,
+# the sharded wave with its barrier merge and remap, the per-state
+# governance prefix — lives once, in autkern.Frontier. Driving par's
+# wave scheduler, declaring a wave shard or a private shard threshold
+# anywhere else starts a second copy of it.
+echo "== frontier lint =="
+hits=$(grep -rn --include='*.go' -e 'par\.Run(' -e 'par\.Split(' -e 'waveShard' \
+    -e 'minShardWave' -e 'parMinChunk' internal cmd ./*.go | grep -v '^internal/autkern/' || true)
+if [ -n "$hits" ]; then
+    echo "wave exploration outside internal/autkern (use autkern.Frontier):" >&2
+    echo "$hits" >&2
+    exit 1
+fi
+echo "frontier lint ok"
+
 # Planner lint: production code must route containment through the
 # planner (plan.Contains / engine Check), which falls back to the eager
 # oracle itself when probes carry no class evidence. Direct
