@@ -13,6 +13,7 @@ package mc
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/alphabet"
@@ -157,16 +158,25 @@ func negationAutomaton(f ltl.Formula, props []string) (*omega.Automaton, error) 
 // are closed), so early exits before full construction are sound. Only
 // the "property holds" verdict requires the whole reachable product.
 //
-// A node's row lists its successors transition by transition, so the
-// transition taking each edge depends only on the node's system state;
-// edgeTrans recovers it instead of the row storing it per edge.
+// A node's row follows its system state's successor row (ts.System.Edges)
+// edge for edge, so the transition taking row position i is that row's
+// i-th transition index.
 type product struct {
 	sys    *ts.System
 	aut    *omega.Automaton
 	f      *autkern.Frontier
 	inits  []int
-	symIdx []int     // per system state, its alphabet index in aut
-	trans  [][]int32 // per system state, memoized by edgeTrans
+	symIdx []int // per system state, its alphabet index in aut
+
+	// Scratch of the fair-SCC search, allocated once per search and
+	// reused by every refinement round. mark[n] == epoch makes node n a
+	// member of the current node set, local[n] its position there; off
+	// and adj hold the set's induced subgraph in local ids.
+	mark  []uint32
+	local []int32
+	epoch uint32
+	off   []int32
+	adj   []int32
 }
 
 // node returns the (system state, automaton state) of product node i.
@@ -182,54 +192,50 @@ func newProduct(sys *ts.System, aut *omega.Automaton, props []string) (*product,
 	defer sp.End()
 	p := &product{sys: sys, aut: aut}
 	p.f = autkern.NewFrontier(2, fault.SiteMCLazy, lazyMetrics, p.successors)
-	autSym := make([]alphabet.Symbol, sys.NumStates())
 	p.symIdx = make([]int, sys.NumStates())
-	for s := 0; s < sys.NumStates(); s++ {
-		autSym[s] = sys.Symbol(s, props)
-		p.symIdx[s] = aut.Alphabet().Index(autSym[s])
-		if p.symIdx[s] < 0 {
-			return nil, fmt.Errorf("mc: state %q symbol %q not in property alphabet", sys.StateName(s), autSym[s])
+	for s := range p.symIdx {
+		sym := sys.Symbol(s, props)
+		if p.symIdx[s] = aut.Alphabet().Index(sym); p.symIdx[s] < 0 {
+			return nil, fmt.Errorf("mc: state %q symbol %q not in property alphabet", sys.StateName(s), sym)
 		}
 	}
 	for _, s0 := range sys.Init() {
-		q0 := aut.Step(aut.Start(), autSym[s0])
+		q0 := aut.StepIndex(aut.Start(), p.symIdx[s0])
 		p.inits = append(p.inits, p.f.Add([]int32{int32(s0), int32(q0)}))
 	}
 	return p, nil
 }
 
 // successors appends the product successors of node (s, q): for every
-// transition in order, each system successor s2 paired with the
+// edge of s's successor row, in order, the target s2 paired with the
 // automaton's step on s2's symbol.
 func (p *product) successors(key, dst []int32) []int32 {
-	ns, nq := int(key[0]), int(key[1])
-	for _, tr := range p.sys.Transitions() {
-		for _, s2 := range tr.SuccessorsShared(ns) {
-			dst = append(dst, int32(s2), int32(p.aut.StepIndex(nq, p.symIdx[s2])))
-		}
+	nq := int(key[1])
+	_, to := p.sys.Edges(int(key[0]))
+	for _, s2 := range to {
+		dst = append(dst, int32(s2), int32(p.aut.StepIndex(nq, p.symIdx[s2])))
 	}
 	return dst
 }
 
-// edgeTrans returns, per position of node n's row, the index of the
-// transition taking that edge. Memoized per system state; the search and
-// trace extraction call it single-threaded, after exploration.
-func (p *product) edgeTrans(n int) []int32 {
-	s, _ := p.node(n)
-	if p.trans == nil {
-		p.trans = make([][]int32, p.sys.NumStates())
+// members makes nodes (ascending) the current node set, numbering them
+// 0, 1, ... in order. It invalidates the previous set.
+func (p *product) members(nodes []int) {
+	if n := p.numNodes(); len(p.mark) < n {
+		p.mark = append(p.mark, make([]uint32, n-len(p.mark))...)
+		p.local = append(p.local, make([]int32, n-len(p.local))...)
 	}
-	if p.trans[s] == nil {
-		l := make([]int32, 0, len(p.f.Rows()[n]))
-		for ti, tr := range p.sys.Transitions() {
-			for range tr.SuccessorsShared(s) {
-				l = append(l, int32(ti))
-			}
-		}
-		p.trans[s] = l
+	if p.epoch++; p.epoch == 0 {
+		clear(p.mark)
+		p.epoch = 1
 	}
-	return p.trans[s]
+	for i, n := range nodes {
+		p.mark[n], p.local[n] = p.epoch, int32(i)
+	}
 }
+
+// in reports whether node n belongs to the current node set.
+func (p *product) in(n int) bool { return p.mark[n] == p.epoch }
 
 // searchFairAccepting looks for a fair computation of sys accepted by the
 // automaton, returning it as a trace of system states. The product is
@@ -245,17 +251,17 @@ func searchFairAccepting(ctx context.Context, sys *ts.System, aut *omega.Automat
 	sp := obs.Start("mc.search")
 	defer sp.End()
 	waves := 0
+	var closed []int
 	for limit := mcFirstWave; ; limit *= 2 {
 		done, err := p.f.Explore(ctx, limit)
 		if err != nil {
 			return Trace{}, false, err
 		}
 		waves++
-		allowed := make([]bool, p.numNodes())
-		for i := 0; i < p.f.Closed(); i++ {
-			allowed[i] = true
+		for i := len(closed); i < p.f.Closed(); i++ {
+			closed = append(closed, i)
 		}
-		comp, need := p.findFairAcceptingSCC(allowed)
+		comp, need := p.findFairAcceptingSCC(closed)
 		if comp == nil && !done {
 			continue
 		}
@@ -272,19 +278,43 @@ func searchFairAccepting(ctx context.Context, sys *ts.System, aut *omega.Automat
 	}
 }
 
-// findFairAcceptingSCC searches for a strongly connected node set C such
-// that (i) a run with inf = C satisfies the automaton's Streett pairs,
-// (ii) every weakly fair transition is either disabled somewhere in C or
-// taken by an edge inside C, and (iii) every strongly fair transition is
-// either enabled nowhere in C or taken inside C. It returns the set and
-// the transition indices whose edges the witness loop must include.
-func (p *product) findFairAcceptingSCC(allowed []bool) ([]int, []int) {
+// findFairAcceptingSCC searches the subgraph induced by nodes (ascending)
+// for a strongly connected node set C such that (i) a run with inf = C
+// satisfies the automaton's Streett pairs, (ii) every weakly fair
+// transition is either disabled somewhere in C or taken by an edge inside
+// C, and (iii) every strongly fair transition is either enabled nowhere in
+// C or taken inside C. It returns the set and the transition indices
+// whose edges the witness loop must include.
+//
+// Tarjan runs over the induced subgraph alone, renumbered in ascending
+// node order: its roots are tried and its edges followed in the same
+// order as a pass over the whole product restricted to nodes would, so
+// the components, and their completion order, are that pass's.
+func (p *product) findFairAcceptingSCC(nodes []int) ([]int, []int) {
+	p.members(nodes)
 	rows := p.f.Rows()
-	deg := func(q int) int { return len(rows[q]) }
-	edge := func(q, i int) int { return rows[q][i] }
-	for _, comp := range autkern.SCCsFunc(p.numNodes(), deg, edge, allowed) {
-		if !autkern.CyclicFunc(p.numNodes(), comp, deg, edge) {
-			continue
+	off, adj := append(p.off[:0], 0), p.adj[:0]
+	for _, n := range nodes {
+		for _, to := range rows[n] {
+			if p.in(to) {
+				adj = append(adj, p.local[to])
+			}
+		}
+		off = append(off, int32(len(adj)))
+	}
+	p.off, p.adj = off, adj
+	comps := autkern.SCCsFunc(len(nodes),
+		func(q int) int { return int(off[q+1] - off[q]) },
+		func(q, i int) int { return int(adj[int(off[q])+i]) },
+		nil)
+	// The scratch subgraph is dead from here on: refine's nested rounds
+	// rebuild it for their own node sets.
+	for _, comp := range comps {
+		for i, l := range comp {
+			comp[i] = nodes[l]
+		}
+		if len(comp) == 1 && !slices.Contains(rows[comp[0]], comp[0]) {
+			continue // a single node without a self-loop has no cycle
 		}
 		if set, need := p.refine(comp); set != nil {
 			return set, need
@@ -300,25 +330,27 @@ func (p *product) refine(comp []int) ([]int, []int) {
 	defer sp.End()
 	cntRefineRounds.Inc()
 	histRefineSizes.Observe(int64(len(comp)))
-	inComp := make([]bool, p.numNodes())
-	for _, n := range comp {
-		inComp[n] = true
-	}
-	takenInside := make([]bool, len(p.sys.Transitions()))
+	p.members(comp)
+	trans := p.sys.Transitions()
+	// Per transition: whether an edge inside comp takes it, and at how
+	// many of comp's nodes it is enabled.
+	takenInside := make([]bool, len(trans))
+	enabledAt := make([]int, len(trans))
 	rows := p.f.Rows()
 	for _, n := range comp {
-		trans := p.edgeTrans(n)
+		s, _ := p.node(n)
+		et, _ := p.sys.Edges(s)
 		for i, to := range rows[n] {
-			if inComp[to] {
-				takenInside[trans[i]] = true
+			if i == 0 || et[i] != et[i-1] {
+				enabledAt[et[i]]++
+			}
+			if p.in(to) {
+				takenInside[et[i]] = true
 			}
 		}
 	}
 
-	restrict := make([]bool, p.numNodes())
-	for _, n := range comp {
-		restrict[n] = true
-	}
+	drop := make([]bool, len(comp)) // nodes the round narrows away
 	narrowed := false
 	var needEdges []int
 
@@ -336,9 +368,9 @@ func (p *product) refine(comp []int) ([]int, []int) {
 			}
 		}
 		if !meetsR && !inP {
-			for _, n := range comp {
+			for j, n := range comp {
 				if _, q := p.node(n); !pr[q] {
-					restrict[n] = false
+					drop[j] = true
 					narrowed = true
 				}
 			}
@@ -346,33 +378,23 @@ func (p *product) refine(comp []int) ([]int, []int) {
 	}
 
 	// Fairness requirements.
-	for ti, tr := range p.sys.Transitions() {
-		if tr.Fair == ts.Unfair || takenInside[ti] {
+	for ti, tr := range trans {
+		if tr.Fair == ts.Unfair || takenInside[ti] || enabledAt[ti] == 0 {
 			continue
-		}
-		enabledSomewhere, enabledEverywhere := false, true
-		for _, n := range comp {
-			if s, _ := p.node(n); tr.Enabled(s) {
-				enabledSomewhere = true
-			} else {
-				enabledEverywhere = false
-			}
 		}
 		switch tr.Fair {
 		case ts.Weak:
-			if enabledEverywhere {
+			if enabledAt[ti] == len(comp) {
 				// Continuously enabled, never taken, and no sub-component
 				// can disable it: this component is hopeless.
 				return nil, nil
 			}
 		case ts.Strong:
-			if enabledSomewhere {
-				// Restrict to nodes where the transition is disabled.
-				for _, n := range comp {
-					if s, _ := p.node(n); tr.Enabled(s) {
-						restrict[n] = false
-						narrowed = true
-					}
+			// Restrict to nodes where the transition is disabled.
+			for j, n := range comp {
+				if s, _ := p.node(n); tr.Enabled(s) {
+					drop[j] = true
+					narrowed = true
 				}
 			}
 		}
@@ -381,30 +403,20 @@ func (p *product) refine(comp []int) ([]int, []int) {
 	if !narrowed {
 		// comp satisfies everything; the witness loop must include one
 		// edge of every fair transition enabled within comp.
-		for ti, tr := range p.sys.Transitions() {
-			if tr.Fair == ts.Unfair {
-				continue
-			}
-			enabled := false
-			for _, n := range comp {
-				if s, _ := p.node(n); tr.Enabled(s) {
-					enabled = true
-					break
-				}
-			}
-			if enabled && takenInside[ti] {
+		for ti, tr := range trans {
+			if tr.Fair != ts.Unfair && enabledAt[ti] > 0 && takenInside[ti] {
 				needEdges = append(needEdges, ti)
 			}
 		}
 		return comp, needEdges
 	}
-	count := 0
-	for _, ok := range restrict {
-		if ok {
-			count++
+	var restrict []int
+	for j, n := range comp {
+		if !drop[j] {
+			restrict = append(restrict, n)
 		}
 	}
-	if count == 0 {
+	if len(restrict) == 0 {
 		return nil, nil
 	}
 	return p.findFairAcceptingSCC(restrict)
@@ -414,12 +426,13 @@ func (p *product) refine(comp []int) ([]int, []int) {
 // node to the component, then a loop covering every node of the component
 // and at least one edge of every needed transition.
 func (p *product) extractTrace(comp []int, needTrans []int) (Trace, bool) {
-	inComp := make([]bool, p.numNodes())
-	for _, n := range comp {
-		inComp[n] = true
+	p.members(comp)
+	prev := make([]int, p.numNodes())
+	for i := range prev {
+		prev[i] = -2 // unseen
 	}
 	anchor := comp[0]
-	prefixNodes, ok := p.shortestPath(p.inits, anchor, nil)
+	prefixNodes, ok := p.shortestPath(prev, p.inits, anchor, false)
 	if !ok {
 		return Trace{}, false
 	}
@@ -428,7 +441,7 @@ func (p *product) extractTrace(comp []int, needTrans []int) (Trace, bool) {
 	var loop []int
 	cur := anchor
 	visit := func(target int) bool {
-		seg, ok := p.shortestPath([]int{cur}, target, inComp)
+		seg, ok := p.shortestPath(prev, []int{cur}, target, true)
 		if !ok {
 			return false
 		}
@@ -446,9 +459,10 @@ func (p *product) extractTrace(comp []int, needTrans []int) (Trace, bool) {
 		// Find an edge of transition ti inside comp and route through it.
 		found := false
 		for _, from := range comp {
-			trans := p.edgeTrans(from)
+			s, _ := p.node(from)
+			et, _ := p.sys.Edges(s)
 			for i, to := range rows[from] {
-				if int(trans[i]) == ti && inComp[to] {
+				if int(et[i]) == ti && p.in(to) {
 					if !visit(from) {
 						return Trace{}, false
 					}
@@ -471,14 +485,7 @@ func (p *product) extractTrace(comp []int, needTrans []int) (Trace, bool) {
 	}
 	if len(loop) == 0 {
 		// Singleton component with a self-loop.
-		selfLoop := false
-		for _, to := range rows[anchor] {
-			if to == anchor {
-				selfLoop = true
-				break
-			}
-		}
-		if !selfLoop {
+		if !slices.Contains(rows[anchor], anchor) {
 			return Trace{}, false
 		}
 		loop = []int{anchor}
@@ -496,15 +503,18 @@ func (p *product) extractTrace(comp []int, needTrans []int) (Trace, bool) {
 }
 
 // shortestPath returns a node path (inclusive of endpoints) from any of
-// the sources to the target, staying within `within` when non-nil.
-func (p *product) shortestPath(sources []int, target int, within []bool) ([]int, bool) {
-	prev := make([]int, p.numNodes())
-	for i := range prev {
-		prev[i] = -2 // unseen
-	}
+// the sources to the target, breadth-first, staying within the current
+// node set when within is set. prev is scratch sized to the product, all
+// -2 (unseen) on entry and again on return.
+func (p *product) shortestPath(prev []int, sources []int, target int, within bool) ([]int, bool) {
 	var queue []int
+	defer func() {
+		for _, n := range queue {
+			prev[n] = -2
+		}
+	}()
 	for _, s := range sources {
-		if within != nil && !within[s] {
+		if within && !p.in(s) {
 			continue
 		}
 		if prev[s] == -2 {
@@ -512,22 +522,19 @@ func (p *product) shortestPath(sources []int, target int, within []bool) ([]int,
 			queue = append(queue, s)
 		}
 	}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
+	rows := p.f.Rows()
+	for head := 0; head < len(queue); head++ {
+		n := queue[head]
 		if n == target {
 			var rev []int
 			for cur := n; cur != -1; cur = prev[cur] {
 				rev = append(rev, cur)
 			}
-			out := make([]int, len(rev))
-			for i := range rev {
-				out[i] = rev[len(rev)-1-i]
-			}
-			return out, true
+			slices.Reverse(rev)
+			return rev, true
 		}
-		for _, to := range p.f.Rows()[n] {
-			if within != nil && !within[to] {
+		for _, to := range rows[n] {
+			if within && !p.in(to) {
 				continue
 			}
 			if prev[to] == -2 {

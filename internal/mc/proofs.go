@@ -3,12 +3,13 @@ package mc
 import (
 	"context"
 	"fmt"
+	"slices"
 
+	"repro/internal/alphabet"
 	"repro/internal/budget"
-	"repro/internal/eval"
 	"repro/internal/ltl"
+	"repro/internal/obs"
 	"repro/internal/ts"
-	"repro/internal/word"
 )
 
 // This file implements the two proof principles the paper attaches to the
@@ -16,14 +17,49 @@ import (
 // computational induction) and well-founded ranking for guarantee- and
 // response-style properties (explicit structural induction).
 
+var cntInvariantStates = obs.NewCounter("mc.invariant.states")
+
 // StateHolds evaluates a state formula at a system state.
 func StateHolds(sys *ts.System, state int, f ltl.Formula) (bool, error) {
 	if !ltl.IsStateFormula(f) {
 		return false, fmt.Errorf("mc: %v is not a state formula", f)
 	}
-	sym := sys.Symbol(state, ltl.Props(f))
-	w := word.MustLasso(nil, word.Finite{sym})
-	return eval.Holds(f, w)
+	return holdsAt(sys.Valuation(state), f)
+}
+
+// holdsAt evaluates a state formula (propositional connectives over
+// atomic propositions) directly on a state's valuation.
+func holdsAt(v alphabet.Valuation, f ltl.Formula) (bool, error) {
+	switch t := f.(type) {
+	case ltl.True:
+		return true, nil
+	case ltl.False:
+		return false, nil
+	case ltl.Prop:
+		return v[t.Name], nil
+	case ltl.Not:
+		x, err := holdsAt(v, t.F)
+		return !x, err
+	case ltl.And:
+		return holdsBoth(v, t.L, t.R, func(x, y bool) bool { return x && y })
+	case ltl.Or:
+		return holdsBoth(v, t.L, t.R, func(x, y bool) bool { return x || y })
+	case ltl.Implies:
+		return holdsBoth(v, t.L, t.R, func(x, y bool) bool { return !x || y })
+	case ltl.Iff:
+		return holdsBoth(v, t.L, t.R, func(x, y bool) bool { return x == y })
+	}
+	return false, fmt.Errorf("mc: cannot evaluate %v at a state", f)
+}
+
+// holdsBoth evaluates l and r at v and combines them with op.
+func holdsBoth(v alphabet.Valuation, l, r ltl.Formula, op func(x, y bool) bool) (bool, error) {
+	x, err := holdsAt(v, l)
+	if err != nil {
+		return false, err
+	}
+	y, err := holdsAt(v, r)
+	return op(x, y), err
 }
 
 // Invariant checks □χ for a state formula χ by exploring the reachable
@@ -37,13 +73,25 @@ func Invariant(sys *ts.System, chi ltl.Formula) (bool, []int, error) {
 // InvariantCtx is Invariant with resource governance: each explored
 // system state is charged against the context's budget and cancellation
 // is polled, so the planner can run the invariant fast path under the
-// same envelope as the general model checker.
-func InvariantCtx(ctx context.Context, sys *ts.System, chi ltl.Formula) (bool, []int, error) {
+// same envelope as the general model checker. The exploration is
+// reported as an mc.invariant span (states explored, verdict) and in the
+// mc.invariant.states counter.
+func InvariantCtx(ctx context.Context, sys *ts.System, chi ltl.Formula) (holds bool, path []int, err error) {
 	if !ltl.IsStateFormula(chi) {
 		return false, nil, fmt.Errorf("mc: invariant %v is not a state formula", chi)
 	}
-	prev := map[int]int{}
-	seen := map[int]bool{}
+	sp := obs.StartIn(ctx, "mc.invariant").Int("sys_states", sys.NumStates())
+	explored := 0
+	defer func() {
+		cntInvariantStates.Add(int64(explored))
+		sp.Int("states", explored)
+		if err == nil {
+			sp.Bool("holds", holds)
+		}
+		sp.End()
+	}()
+	prev := make([]int, sys.NumStates()) // BFS parent; -1 for initial states
+	seen := make([]bool, sys.NumStates())
 	var queue []int
 	for _, s := range sys.Init() {
 		if !seen[s] {
@@ -52,28 +100,24 @@ func InvariantCtx(ctx context.Context, sys *ts.System, chi ltl.Formula) (bool, [
 			queue = append(queue, s)
 		}
 	}
-	for len(queue) > 0 {
-		s := queue[0]
-		queue = queue[1:]
+	for head := 0; head < len(queue); head++ {
+		s := queue[head]
 		if err := budget.Poll(ctx, 0); err != nil {
 			return false, nil, err
 		}
 		if err := budget.ChargeStates(ctx, 1); err != nil {
 			return false, nil, err
 		}
-		ok, err := StateHolds(sys, s, chi)
+		explored++
+		ok, err := holdsAt(sys.Valuation(s), chi)
 		if err != nil {
 			return false, nil, err
 		}
 		if !ok {
-			var rev []int
 			for cur := s; cur != -1; cur = prev[cur] {
-				rev = append(rev, cur)
+				path = append(path, cur)
 			}
-			path := make([]int, len(rev))
-			for i := range rev {
-				path[i] = rev[len(rev)-1-i]
-			}
+			slices.Reverse(path)
 			return false, path, nil
 		}
 		for _, next := range sys.AllSuccessors(s) {

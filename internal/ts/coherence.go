@@ -39,22 +39,24 @@ func CacheCoherence(n int) (*System, error) {
 	name := func(c conf) string {
 		return fmt.Sprintf("s%v w%v", c.st[:n], c.want[:n])
 	}
+	ip, sp, mp := indexed("i", n), indexed("s", n), indexed("m", n)
+	rp, wp := indexed("rd", n), indexed("wr", n)
 	props := func(c conf) []string {
 		var out []string
 		for i := 0; i < n; i++ {
 			switch c.st[i] {
 			case inv:
-				out = append(out, fmt.Sprintf("i%d", i))
+				out = append(out, ip[i])
 			case shared:
-				out = append(out, fmt.Sprintf("s%d", i))
+				out = append(out, sp[i])
 			case modified:
-				out = append(out, fmt.Sprintf("m%d", i))
+				out = append(out, mp[i])
 			}
 			switch c.want[i] {
 			case read:
-				out = append(out, fmt.Sprintf("rd%d", i))
+				out = append(out, rp[i])
 			case write:
-				out = append(out, fmt.Sprintf("wr%d", i))
+				out = append(out, wp[i])
 			}
 		}
 		return out
@@ -63,23 +65,23 @@ func CacheCoherence(n int) (*System, error) {
 	for i := 0; i < n; i++ {
 		i := i
 		trans = append(trans,
-			protoTransition[conf]{fmt.Sprintf("readReq%d", i), Unfair, func(c conf) []conf {
+			protoTransition[conf]{fmt.Sprintf("readReq%d", i), Unfair, func(c conf) (conf, bool) {
 				if c.st[i] != inv || c.want[i] != none {
-					return nil
+					return c, false
 				}
 				c.want[i] = read
-				return []conf{c}
+				return c, true
 			}},
-			protoTransition[conf]{fmt.Sprintf("writeReq%d", i), Unfair, func(c conf) []conf {
+			protoTransition[conf]{fmt.Sprintf("writeReq%d", i), Unfair, func(c conf) (conf, bool) {
 				if c.st[i] == modified || c.want[i] != none {
-					return nil
+					return c, false
 				}
 				c.want[i] = write
-				return []conf{c}
+				return c, true
 			}},
-			protoTransition[conf]{fmt.Sprintf("grantS%d", i), Weak, func(c conf) []conf {
+			protoTransition[conf]{fmt.Sprintf("grantS%d", i), Weak, func(c conf) (conf, bool) {
 				if c.want[i] != read {
-					return nil
+					return c, false
 				}
 				for j := 0; j < n; j++ {
 					if c.st[j] == modified {
@@ -88,25 +90,25 @@ func CacheCoherence(n int) (*System, error) {
 				}
 				c.st[i] = shared
 				c.want[i] = none
-				return []conf{c}
+				return c, true
 			}},
-			protoTransition[conf]{fmt.Sprintf("grantM%d", i), Weak, func(c conf) []conf {
+			protoTransition[conf]{fmt.Sprintf("grantM%d", i), Weak, func(c conf) (conf, bool) {
 				if c.want[i] != write {
-					return nil
+					return c, false
 				}
 				for j := 0; j < n; j++ {
 					c.st[j] = inv
 				}
 				c.st[i] = modified
 				c.want[i] = none
-				return []conf{c}
+				return c, true
 			}},
-			protoTransition[conf]{fmt.Sprintf("evict%d", i), Unfair, func(c conf) []conf {
+			protoTransition[conf]{fmt.Sprintf("evict%d", i), Unfair, func(c conf) (conf, bool) {
 				if c.st[i] == inv || c.want[i] != none {
-					return nil
+					return c, false
 				}
 				c.st[i] = inv
-				return []conf{c}
+				return c, true
 			}},
 		)
 	}

@@ -41,16 +41,17 @@ func LeaderElection(n int) (*System, error) {
 	name := func(c conf) string {
 		return fmt.Sprintf("s%v i%03x b%v", c.status[:n], c.sent, c.buf[:n])
 	}
+	cp, pp, lp := indexed("cand", n), indexed("passive", n), indexed("leader", n)
 	props := func(c conf) []string {
 		var out []string
 		for i := 0; i < n; i++ {
 			switch c.status[i] {
 			case cand:
-				out = append(out, fmt.Sprintf("cand%d", i))
+				out = append(out, cp[i])
 			case passive:
-				out = append(out, fmt.Sprintf("passive%d", i))
+				out = append(out, pp[i])
 			case leader:
-				out = append(out, fmt.Sprintf("leader%d", i), "elected")
+				out = append(out, lp[i], "elected")
 			}
 		}
 		return out
@@ -60,20 +61,20 @@ func LeaderElection(n int) (*System, error) {
 		i := i
 		bit := uint16(1) << i
 		trans = append(trans,
-			protoTransition[conf]{fmt.Sprintf("init%d", i), Weak, func(c conf) []conf {
+			protoTransition[conf]{fmt.Sprintf("init%d", i), Weak, func(c conf) (conf, bool) {
 				if c.status[i] != cand || c.sent&bit != 0 {
-					return nil
+					return c, false
 				}
 				c.sent |= bit
 				if int8(i) > c.buf[i] {
 					c.buf[i] = int8(i)
 				}
-				return []conf{c}
+				return c, true
 			}},
-			protoTransition[conf]{fmt.Sprintf("deliver%d", i), Weak, func(c conf) []conf {
+			protoTransition[conf]{fmt.Sprintf("deliver%d", i), Weak, func(c conf) (conf, bool) {
 				m := c.buf[i]
 				if m < 0 {
-					return nil
+					return c, false
 				}
 				c.buf[i] = -1
 				j := (i + 1) % n
@@ -86,7 +87,7 @@ func LeaderElection(n int) (*System, error) {
 						c.buf[j] = m
 					}
 				}
-				return []conf{c}
+				return c, true
 			}},
 		)
 	}

@@ -36,14 +36,15 @@ func RingMutex(n int, passFair Fairness) (*System, error) {
 		}
 		return fmt.Sprintf("t%d c%d w%03x", c.tok, cs, c.want)
 	}
+	tp, cp, wp := indexed("t", n), indexed("c", n), indexed("w", n)
 	props := func(c conf) []string {
-		out := []string{fmt.Sprintf("t%d", c.tok)}
+		out := []string{tp[c.tok]}
 		if c.cs {
-			out = append(out, "busy", fmt.Sprintf("c%d", c.tok))
+			out = append(out, "busy", cp[c.tok])
 		}
 		for i := 0; i < n; i++ {
 			if c.want&(1<<i) != 0 {
-				out = append(out, fmt.Sprintf("w%d", i))
+				out = append(out, wp[i])
 			}
 		}
 		return out
@@ -53,34 +54,34 @@ func RingMutex(n int, passFair Fairness) (*System, error) {
 		i := i
 		bit := uint16(1) << i
 		trans = append(trans,
-			protoTransition[conf]{fmt.Sprintf("request%d", i), Unfair, func(c conf) []conf {
+			protoTransition[conf]{fmt.Sprintf("request%d", i), Unfair, func(c conf) (conf, bool) {
 				if c.want&bit != 0 || (c.cs && int(c.tok) == i) {
-					return nil
+					return c, false
 				}
 				c.want |= bit
-				return []conf{c}
+				return c, true
 			}},
-			protoTransition[conf]{fmt.Sprintf("enter%d", i), Weak, func(c conf) []conf {
+			protoTransition[conf]{fmt.Sprintf("enter%d", i), Weak, func(c conf) (conf, bool) {
 				if int(c.tok) != i || c.want&bit == 0 || c.cs {
-					return nil
+					return c, false
 				}
 				c.cs = true
-				return []conf{c}
+				return c, true
 			}},
-			protoTransition[conf]{fmt.Sprintf("exit%d", i), Weak, func(c conf) []conf {
+			protoTransition[conf]{fmt.Sprintf("exit%d", i), Weak, func(c conf) (conf, bool) {
 				if int(c.tok) != i || !c.cs {
-					return nil
+					return c, false
 				}
 				c.cs = false
 				c.want &^= bit
-				return []conf{c}
+				return c, true
 			}},
-			protoTransition[conf]{fmt.Sprintf("pass%d", i), passFair, func(c conf) []conf {
+			protoTransition[conf]{fmt.Sprintf("pass%d", i), passFair, func(c conf) (conf, bool) {
 				if int(c.tok) != i || c.cs || c.want&bit != 0 {
-					return nil
+					return c, false
 				}
 				c.tok = int8((i + 1) % n)
-				return []conf{c}
+				return c, true
 			}},
 		)
 	}

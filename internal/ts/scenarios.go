@@ -1,5 +1,7 @@
 package ts
 
+import "strconv"
+
 // This file is the scaffolding for the parameterized protocol families
 // (ring mutex, leader election, cache coherence) that give the parallel
 // state-space search realistic many-state workloads. Each family builds
@@ -22,43 +24,56 @@ type ScenarioSpec struct {
 	Holds   bool
 }
 
+// indexed returns the proposition names prefix0 … prefix<n-1>, built once
+// per system so the per-state props functions only look them up.
+func indexed(prefix string, n int) []string {
+	out := make([]string, n)
+	for i := range out {
+		out[i] = prefix + strconv.Itoa(i)
+	}
+	return out
+}
+
 // protoTransition describes one named transition of a protocol family as
-// a successor function over configurations.
+// a successor function over configurations: step returns the successor
+// and true when the transition is enabled (every family's transitions are
+// deterministic).
 type protoTransition[C comparable] struct {
 	name string
 	fair Fairness
-	step func(C) []C
+	step func(C) (C, bool)
 }
 
 // buildReachable grows a System breadth-first from the initial
 // configurations, declaring states and transition steps as they are
-// discovered.
+// discovered. Configurations are interned by value, so a state's name and
+// propositions are computed once, when it is first seen, not per edge.
 func buildReachable[C comparable](inits []C, name func(C) string, props func(C) []string, trans []protoTransition[C]) (*System, error) {
 	b := NewBuilder()
 	built := make([]*Transition, len(trans))
 	for i, tr := range trans {
 		built[i] = b.Transition(tr.name, tr.fair)
 	}
-	seen := map[C]bool{}
+	state := map[C]int{}
 	var queue []C
-	for _, c := range inits {
-		b.SetInit(b.State(name(c), props(c)...))
-		if !seen[c] {
-			seen[c] = true
-			queue = append(queue, c)
+	intern := func(c C) int {
+		if i, ok := state[c]; ok {
+			return i
 		}
+		i := b.State(name(c), props(c)...)
+		state[c] = i
+		queue = append(queue, c)
+		return i
 	}
-	for len(queue) > 0 {
-		c := queue[0]
-		queue = queue[1:]
-		from := b.State(name(c), props(c)...)
+	for _, c := range inits {
+		b.SetInit(intern(c))
+	}
+	for head := 0; head < len(queue); head++ {
+		c := queue[head]
+		from := state[c]
 		for i, tr := range trans {
-			for _, d := range tr.step(c) {
-				built[i].Step(from, b.State(name(d), props(d)...))
-				if !seen[d] {
-					seen[d] = true
-					queue = append(queue, d)
-				}
+			if d, ok := tr.step(c); ok {
+				built[i].Step(from, intern(d))
 			}
 		}
 	}

@@ -7,6 +7,7 @@ package ts
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/alphabet"
@@ -43,35 +44,76 @@ func (f Fairness) String() string {
 // Transition is one named program transition: a relation on states with a
 // fairness requirement. It is enabled at a state iff it has at least one
 // successor there.
+//
+// A transition collects its steps until Builder.Build freezes the system;
+// from then on its queries read the system's successor rows and Step
+// panics.
 type Transition struct {
 	Name  string
 	Fair  Fairness
-	steps map[int][]int
+	steps [][2]int // (from, to) in Step order; nil once built
+	sys   *System  // the built system, nil before Build
+	idx   int32    // index in sys.trans
 }
 
 // Successors returns the transition's successors at state s (nil if
 // disabled).
 func (t *Transition) Successors(s int) []int {
-	return append([]int(nil), t.steps[s]...)
+	return append([]int(nil), t.SuccessorsShared(s)...)
 }
 
 // SuccessorsShared is Successors without the defensive copy: the slice is
-// shared with the transition and must not be mutated. It exists for the
-// hot exploration loops — the sharded product workers read successor sets
+// shared with the system and must not be mutated. It exists for the hot
+// exploration loops — the sharded product workers read successor sets
 // from many goroutines at once, which is safe exactly because nothing is
 // allocated or written.
-func (t *Transition) SuccessorsShared(s int) []int { return t.steps[s] }
+func (t *Transition) SuccessorsShared(s int) []int {
+	if t.sys == nil {
+		var out []int
+		for _, st := range t.steps {
+			if st[0] == s {
+				out = append(out, st[1])
+			}
+		}
+		return out
+	}
+	lo, hi := t.sys.span(s, t.idx)
+	return t.sys.to[lo:hi:hi]
+}
 
 // Enabled reports whether the transition is enabled at s.
-func (t *Transition) Enabled(s int) bool { return len(t.steps[s]) > 0 }
+func (t *Transition) Enabled(s int) bool { return len(t.SuccessorsShared(s)) > 0 }
+
+// Step adds a step from → to to the transition. A built system is
+// immutable: Step on one of its transitions panics.
+func (t *Transition) Step(from, to int) *Transition {
+	if t.sys != nil {
+		panic(fmt.Sprintf("ts: Step on transition %q after Build", t.Name))
+	}
+	t.steps = append(t.steps, [2]int{from, to})
+	return t
+}
 
 // System is an immutable fair transition system.
+//
+// Its successor relation is frozen at Build into dense rows: the edges
+// leaving state s are positions off[s] to off[s+1] of et (the index of
+// the transition taking the edge) and to (its target), ordered by
+// transition and, within a transition, in Step order. all holds every
+// state's deduplicated, sorted successors the same way, delimited by
+// aoff.
 type System struct {
 	names []string
 	valu  []alphabet.Valuation
 	init  []int
 	trans []*Transition
 	props []string
+	off   []int32
+	et    []int32
+	to    []int
+	aoff  []int32
+	all   []int
+	reach []int
 }
 
 // Builder assembles a System.
@@ -82,6 +124,7 @@ type Builder struct {
 	init    []int
 	trans   []*Transition
 	propSet map[string]bool
+	built   bool
 }
 
 // NewBuilder returns an empty system builder.
@@ -114,14 +157,8 @@ func (b *Builder) SetInit(states ...int) { b.init = append(b.init, states...) }
 // Transition declares a named transition with the given fairness and
 // returns it for step population.
 func (b *Builder) Transition(name string, fair Fairness) *Transition {
-	t := &Transition{Name: name, Fair: fair, steps: map[int][]int{}}
+	t := &Transition{Name: name, Fair: fair}
 	b.trans = append(b.trans, t)
-	return t
-}
-
-// Step adds a step from → to to the transition.
-func (t *Transition) Step(from, to int) *Transition {
-	t.steps[from] = append(t.steps[from], to)
 	return t
 }
 
@@ -137,7 +174,12 @@ func (b *Builder) AddIdle() {
 
 // Build validates and freezes the system: at least one state and initial
 // state, all step endpoints in range, and no deadlocked reachable state.
+// On success the builder's transitions belong to the system and accept no
+// further steps; a builder builds at most one system.
 func (b *Builder) Build() (*System, error) {
+	if b.built {
+		return nil, fmt.Errorf("ts: builder already built its system")
+	}
 	n := len(b.names)
 	if n == 0 {
 		return nil, fmt.Errorf("ts: no states")
@@ -150,17 +192,17 @@ func (b *Builder) Build() (*System, error) {
 			return nil, fmt.Errorf("ts: initial state %d out of range", s)
 		}
 	}
+	edges := 0
 	for _, t := range b.trans {
-		for from, tos := range t.steps {
-			if from < 0 || from >= n {
-				return nil, fmt.Errorf("ts: transition %s step from %d out of range", t.Name, from)
+		for _, st := range t.steps {
+			if st[0] < 0 || st[0] >= n {
+				return nil, fmt.Errorf("ts: transition %s step from %d out of range", t.Name, st[0])
 			}
-			for _, to := range tos {
-				if to < 0 || to >= n {
-					return nil, fmt.Errorf("ts: transition %s step to %d out of range", t.Name, to)
-				}
+			if st[1] < 0 || st[1] >= n {
+				return nil, fmt.Errorf("ts: transition %s step to %d out of range", t.Name, st[1])
 			}
 		}
+		edges += len(t.steps)
 	}
 	sys := &System{
 		names: append([]string(nil), b.names...),
@@ -172,13 +214,91 @@ func (b *Builder) Build() (*System, error) {
 		sys.props = append(sys.props, p)
 	}
 	sort.Strings(sys.props)
-	// Deadlock check on reachable states.
-	for _, s := range sys.ReachableStates() {
-		if len(sys.AllSuccessors(s)) == 0 {
+	sys.freeze(edges)
+	for _, s := range sys.reach {
+		if sys.aoff[s] == sys.aoff[s+1] {
 			return nil, fmt.Errorf("ts: reachable state %q is deadlocked (use AddIdle)", sys.names[s])
 		}
 	}
+	for i, t := range b.trans {
+		t.sys, t.idx, t.steps = sys, int32(i), nil
+	}
+	b.built = true
 	return sys, nil
+}
+
+// freeze lays the transitions' steps out as the system's successor rows
+// and computes the reachable states.
+func (s *System) freeze(edges int) {
+	n := len(s.names)
+	s.off = make([]int32, n+1)
+	for _, t := range s.trans {
+		for _, st := range t.steps {
+			s.off[st[0]+1]++
+		}
+	}
+	for i := 0; i < n; i++ {
+		s.off[i+1] += s.off[i]
+	}
+	s.et = make([]int32, edges)
+	s.to = make([]int, edges)
+	next := append([]int32(nil), s.off[:n]...)
+	for ti, t := range s.trans {
+		for _, st := range t.steps {
+			i := next[st[0]]
+			s.et[i], s.to[i] = int32(ti), st[1]
+			next[st[0]]++
+		}
+	}
+	// Deduplicated rows: stamp[v] == q+1 marks v as already in row q.
+	stamp := make([]int32, n)
+	s.aoff = make([]int32, n+1)
+	s.all = make([]int, 0, edges)
+	for q := 0; q < n; q++ {
+		start := len(s.all)
+		for _, v := range s.to[s.off[q]:s.off[q+1]] {
+			if stamp[v] != int32(q+1) {
+				stamp[v] = int32(q + 1)
+				s.all = append(s.all, v)
+			}
+		}
+		slices.Sort(s.all[start:])
+		s.aoff[q+1] = int32(len(s.all))
+	}
+	seen := make([]bool, n)
+	var stack []int
+	for _, i := range s.init {
+		if !seen[i] {
+			seen[i] = true
+			stack = append(stack, i)
+		}
+	}
+	for len(stack) > 0 {
+		q := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, v := range s.AllSuccessors(q) {
+			if !seen[v] {
+				seen[v] = true
+				stack = append(stack, v)
+			}
+		}
+	}
+	for q, ok := range seen {
+		if ok {
+			s.reach = append(s.reach, q)
+		}
+	}
+}
+
+// span returns the positions of transition t's edges in state q's row.
+func (s *System) span(q int, t int32) (lo, hi int) {
+	lo, end := int(s.off[q]), int(s.off[q+1])
+	for lo < end && s.et[lo] < t {
+		lo++
+	}
+	for hi = lo; hi < end && s.et[hi] == t; hi++ {
+	}
+	return lo, hi
 }
 
 // NumStates returns the number of states.
@@ -210,47 +330,26 @@ func (s *System) Init() []int { return append([]int(nil), s.init...) }
 // Transitions returns the system's transitions.
 func (s *System) Transitions() []*Transition { return s.trans }
 
-// AllSuccessors returns the successors of a state across all transitions
-// (deduplicated, sorted).
-func (s *System) AllSuccessors(state int) []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, t := range s.trans {
-		for _, to := range t.steps[state] {
-			if !seen[to] {
-				seen[to] = true
-				out = append(out, to)
-			}
-		}
-	}
-	sort.Ints(out)
-	return out
+// Edges returns state q's successor row: trans[i] is the index (in
+// Transitions) of the transition taking edge i and to[i] its target. The
+// row lists the transitions in order, each one's successors in Step
+// order. Both slices are shared with the system and must not be mutated.
+func (s *System) Edges(q int) (trans []int32, to []int) {
+	lo, hi := s.off[q], s.off[q+1]
+	return s.et[lo:hi:hi], s.to[lo:hi:hi]
 }
 
-// ReachableStates returns the states reachable from the initial states.
-func (s *System) ReachableStates() []int {
-	seen := map[int]bool{}
-	var stack, out []int
-	for _, i := range s.init {
-		if !seen[i] {
-			seen[i] = true
-			stack = append(stack, i)
-		}
-	}
-	for len(stack) > 0 {
-		q := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		out = append(out, q)
-		for _, next := range s.AllSuccessors(q) {
-			if !seen[next] {
-				seen[next] = true
-				stack = append(stack, next)
-			}
-		}
-	}
-	sort.Ints(out)
-	return out
+// AllSuccessors returns the successors of a state across all transitions
+// (deduplicated, sorted). The slice is shared with the system and must
+// not be mutated.
+func (s *System) AllSuccessors(state int) []int {
+	lo, hi := s.aoff[state], s.aoff[state+1]
+	return s.all[lo:hi:hi]
 }
+
+// ReachableStates returns the states reachable from the initial states,
+// sorted.
+func (s *System) ReachableStates() []int { return append([]int(nil), s.reach...) }
 
 // Symbol returns the state's valuation symbol restricted to the given
 // propositions — the letter the state contributes to a property

@@ -1,6 +1,8 @@
 package ts_test
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/ts"
@@ -143,5 +145,112 @@ func TestTransitionSuccessorsCopy(t *testing.T) {
 	succ[0] = 99
 	if tr.Successors(s)[0] != s {
 		t.Error("Successors must return a copy")
+	}
+}
+
+// TestStepAfterBuildPanics: a built System is immutable and read
+// concurrently by the sharded search, so a late Step must fail loudly
+// (naming the transition) instead of being silently lost.
+func TestStepAfterBuildPanics(t *testing.T) {
+	b := ts.NewBuilder()
+	s := b.State("s")
+	b.SetInit(s)
+	tr := b.Transition("tick", ts.Weak)
+	tr.Step(s, s)
+	if _, err := b.Build(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, `"tick"`) {
+			t.Errorf("Step after Build: panic %q, want one naming the transition", msg)
+		}
+	}()
+	tr.Step(s, s)
+}
+
+func TestBuildTwiceFails(t *testing.T) {
+	b := ts.NewBuilder()
+	b.SetInit(b.State("s"))
+	b.AddIdle()
+	if _, err := b.Build(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Build(); err == nil {
+		t.Error("a second Build of the same builder should fail")
+	}
+}
+
+// TestSuccessorRows checks the frozen layout: each state's row lists its
+// edges transition by transition, each transition's steps in Step order
+// (duplicates kept), while AllSuccessors deduplicates and sorts.
+func TestSuccessorRows(t *testing.T) {
+	b := ts.NewBuilder()
+	s0, s1, s2 := b.State("a"), b.State("b"), b.State("c")
+	b.SetInit(s0)
+	x := b.Transition("x", ts.Weak)
+	y := b.Transition("y", ts.Strong)
+	// Steps arrive out of state order and interleaved across transitions.
+	y.Step(s0, s1)
+	x.Step(s1, s0)
+	x.Step(s0, s2).Step(s0, s1)
+	y.Step(s0, s2)
+	x.Step(s0, s2)
+	if got := x.Successors(s0); !slices.Equal(got, []int{s2, s1, s2}) {
+		t.Errorf("before Build: x.Successors(a) = %v", got)
+	}
+	b.AddIdle()
+	sys, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	trans, to := sys.Edges(s0)
+	if want := []int32{0, 0, 0, 1, 1, 2}; !slices.Equal(trans, want) {
+		t.Errorf("Edges(a) transitions = %v, want %v", trans, want)
+	}
+	if want := []int{s2, s1, s2, s1, s2, s0}; !slices.Equal(to, want) {
+		t.Errorf("Edges(a) targets = %v, want %v", to, want)
+	}
+	if got := sys.AllSuccessors(s0); !slices.Equal(got, []int{s0, s1, s2}) {
+		t.Errorf("AllSuccessors(a) = %v", got)
+	}
+	if got := x.Successors(s0); !slices.Equal(got, []int{s2, s1, s2}) {
+		t.Errorf("x.Successors(a) = %v", got)
+	}
+	if got := y.SuccessorsShared(s1); len(got) != 0 || y.Enabled(s1) || !x.Enabled(s1) {
+		t.Errorf("enabledness at b wrong: y.SuccessorsShared(b) = %v", got)
+	}
+	if got := x.SuccessorsShared(s2); len(got) != 0 {
+		t.Errorf("x.SuccessorsShared(c) = %v, want none", got)
+	}
+	// A shared row is capacity-clipped: appending to it cannot overwrite
+	// the next transition's edges.
+	_ = append(x.SuccessorsShared(s0), 99)
+	if _, to := sys.Edges(s0); to[3] != s1 {
+		t.Error("append to a shared row overwrote the system")
+	}
+}
+
+// TestReachableStatesIsACopy: the reachable set is computed once at Build;
+// callers get their own copy.
+func TestReachableStatesIsACopy(t *testing.T) {
+	sys, err := ts.Peterson()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := sys.ReachableStates()
+	r[0] = -1
+	if sys.ReachableStates()[0] == -1 {
+		t.Error("ReachableStates must return a copy")
+	}
+}
+
+func TestBuildRejectsStepFromOutOfRange(t *testing.T) {
+	b := ts.NewBuilder()
+	s := b.State("s")
+	b.SetInit(s)
+	b.Transition("bad", ts.Unfair).Step(-1, s)
+	if _, err := b.Build(); err == nil || !strings.Contains(err.Error(), "bad") {
+		t.Errorf("step from -1: err = %v, want one naming the transition", err)
 	}
 }

@@ -12,7 +12,10 @@
 # hierarchy class), and the BenchmarkStore* cold-vs-warm engine-boot
 # families over the persistent verdict store, and the
 # BenchmarkParallelSearch* worker sweeps whose iterations assert
-# bit-identical verdicts against the sequential oracle — and converts the output
+# bit-identical verdicts against the sequential oracle, and the
+# BenchmarkScenarioBuild / BenchmarkVerifyInvariant families timing the
+# ts system build and the mc safety tier over the protocol scenarios —
+# and converts the output
 # into a JSON snapshot via cmd/benchjson, which also enforces the
 # lazy-vs-eager gate: on the shallow-witness families, the lazy path
 # must materialize at most half the states the eager oracle does. The
@@ -49,7 +52,7 @@ fi
 
 SNAP=BENCH_pr9.json
 PREV=BENCH_pr8.json
-CURATED='^(BenchmarkLazy|BenchmarkAlloc|BenchmarkObs|BenchmarkPlan|BenchmarkStore|BenchmarkParallelSearch|BenchmarkEquivalent$|BenchmarkVerifyPeterson$|BenchmarkVerifySemaphore$|BenchmarkE14ModelCheck$)'
+CURATED='^(BenchmarkLazy|BenchmarkAlloc|BenchmarkObs|BenchmarkPlan|BenchmarkStore|BenchmarkParallelSearch|BenchmarkScenarioBuild|BenchmarkVerifyInvariant|BenchmarkEquivalent$|BenchmarkVerifyPeterson$|BenchmarkVerifySemaphore$|BenchmarkE14ModelCheck$)'
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
