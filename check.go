@@ -75,10 +75,3 @@ func PlanAutomatonCtx(ctx context.Context, a *Automaton) (PlanProbe, PlanDecisio
 // PlanOfClass maps a syntactic hierarchy class to the tier a compiled
 // formula of that class is guaranteed to land in (Figure 1).
 func PlanOfClass(c Class) PlanDecision { return plan.DecideClass(c) }
-
-// VerifyCtx is Verify with cooperative cancellation: model checking
-// routes through the default engine's planner (invariant fast path for
-// □χ, fair-lasso search otherwise).
-func VerifyCtx(ctx context.Context, sys *System, f Formula) (Result, error) {
-	return defaultEngine.Verify(ctx, sys, f)
-}

@@ -20,8 +20,8 @@ import (
 //
 // Construct one with NewEngine and reuse it — the cache only pays off
 // across calls. The package-level free functions (Classify,
-// ClassifyAutomaton, Contains, …) are convenience forms that route
-// through a shared default engine.
+// ClassifyAutomaton, Check, …) are convenience forms that route through
+// a shared default engine.
 type Engine = engine.Engine
 
 // EngineOption configures an Engine at construction.
@@ -62,9 +62,9 @@ func WithObserver(o EngineObserver) EngineOption { return engine.WithObserver(o)
 
 // WithStateBudget caps the number of automaton states any single engine
 // request may materialize across all its constructions (subset
-// construction, products, canonicalization merges). A request exceeding
-// the cap fails with ErrBudgetExceeded instead of exhausting memory;
-// n <= 0 means unlimited (the default).
+// construction, products, model-checking product nodes). A request
+// exceeding the cap fails with ErrBudgetExceeded instead of exhausting
+// memory; n <= 0 means unlimited (the default).
 func WithStateBudget(n int64) EngineOption { return engine.WithStateBudget(n) }
 
 // WithStepBudget caps the abstract work steps (partition refinements,
@@ -144,16 +144,6 @@ func ClassifyAutomatonCtx(ctx context.Context, a *Automaton) (Classification, er
 // CompileFormulaCtx is CompileFormula with cooperative cancellation.
 func CompileFormulaCtx(ctx context.Context, f Formula, props []string) (*Automaton, error) {
 	return defaultEngine.CompileFormula(ctx, f, props)
-}
-
-// ContainsCtx is Contains with cooperative cancellation.
-func ContainsCtx(ctx context.Context, a, b *Automaton) (bool, Word, error) {
-	return defaultEngine.Contains(ctx, a, b)
-}
-
-// EquivalentCtx is Equivalent with cooperative cancellation.
-func EquivalentCtx(ctx context.Context, a, b *Automaton) (bool, Word, error) {
-	return defaultEngine.Equivalent(ctx, a, b)
 }
 
 // ClassifyBatch classifies many formulas/automata at once on the default

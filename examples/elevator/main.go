@@ -40,13 +40,13 @@ func run() error {
 			return err
 		}
 		fmt.Printf("policy %-8v (%d states):\n", pol, sys.NumStates())
-		res, err := temporal.Verify(sys, door)
+		res, err := temporal.Check(temporal.CheckRequest{Kind: temporal.CheckVerify, System: sys, Formula: door})
 		if err != nil {
 			return err
 		}
 		fmt.Printf("  door always closes : %v\n", res.Holds)
 		for i, f := range service {
-			res, err := temporal.Verify(sys, f)
+			res, err := temporal.Check(temporal.CheckRequest{Kind: temporal.CheckVerify, System: sys, Formula: f})
 			if err != nil {
 				return err
 			}

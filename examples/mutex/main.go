@@ -43,12 +43,12 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	res, err := temporal.Verify(trivial, mutexSpec)
+	res, err := temporal.Check(temporal.CheckRequest{Kind: temporal.CheckVerify, System: trivial, Formula: mutexSpec})
 	if err != nil {
 		return err
 	}
 	fmt.Printf("trivial system ⊨ mutual exclusion: %v (the trap!)\n", res.Holds)
-	res, err = temporal.Verify(trivial, access1)
+	res, err = temporal.Check(temporal.CheckRequest{Kind: temporal.CheckVerify, System: trivial, Formula: access1})
 	if err != nil {
 		return err
 	}
@@ -68,7 +68,7 @@ func run() error {
 	fmt.Printf("Peterson: %d states, %d transitions\n",
 		peterson.NumStates(), len(peterson.Transitions()))
 	for _, f := range []temporal.Formula{mutexSpec, access1, access2} {
-		res, err := temporal.Verify(peterson, f)
+		res, err := temporal.Check(temporal.CheckRequest{Kind: temporal.CheckVerify, System: peterson, Formula: f})
 		if err != nil {
 			return err
 		}

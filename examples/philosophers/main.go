@@ -57,7 +57,7 @@ func run() error {
 		}
 		row := make([]bool, len(specs))
 		for i, s := range specs {
-			res, err := temporal.Verify(sys, s.f)
+			res, err := temporal.Check(temporal.CheckRequest{Kind: temporal.CheckVerify, System: sys, Formula: s.f})
 			if err != nil {
 				return err
 			}
@@ -68,11 +68,12 @@ func run() error {
 	fmt.Println()
 
 	// Show the deadlock witness of the symmetric protocol.
+	noStarve := specs[2].f
 	sym, err := ts.DiningPhilosophers(3, true, temporal.Strong)
 	if err != nil {
 		return err
 	}
-	res, err := temporal.Verify(sym, temporal.MustParseFormula("G (h0 -> F e0)"))
+	res, err := temporal.Check(temporal.CheckRequest{Kind: temporal.CheckVerify, System: sym, Formula: noStarve})
 	if err != nil {
 		return err
 	}
@@ -88,7 +89,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	res, err = temporal.Verify(weak, temporal.MustParseFormula("G (h0 -> F e0)"))
+	res, err = temporal.Check(temporal.CheckRequest{Kind: temporal.CheckVerify, System: weak, Formula: noStarve})
 	if err != nil {
 		return err
 	}

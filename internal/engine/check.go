@@ -78,27 +78,20 @@ type Verdict struct {
 	BudgetStates, BudgetSteps int64
 }
 
-// Check runs one planned query under the engine's full governance
-// envelope: per-request budget, tracing, recovery boundary, memo cache.
-// It is the single entry point the free functions and both CLIs now go
-// through; Contains/Equivalent remain as thin wrappers.
+// Check runs one planned query under the engine's request envelope (see
+// serve): per-request budget, tracing, recovery boundary, memo cache. It
+// is the only entry point for containment, equivalence, emptiness and
+// model checking; the free functions, the CLIs and the daemon all go
+// through it.
 func (e *Engine) Check(ctx context.Context, req CheckRequest) (Verdict, error) {
-	ctx = e.withBudget(ctx)
-	ctx, done := e.startRequest(ctx, "Check")
 	cntCheck.Inc()
-	var v Verdict
-	err := capture("Check", func() (err error) {
-		v, err = e.check(ctx, req)
-		return
+	return serve(e, ctx, "Check", func(ctx context.Context) (Verdict, error) {
+		v, err := e.check(ctx, req)
+		if b := budget.FromContext(ctx); b != nil {
+			v.BudgetStates, v.BudgetSteps = b.States(), b.Steps()
+		}
+		return v, err
 	})
-	done(&err)
-	if err != nil {
-		return Verdict{}, wrapErr(err)
-	}
-	if b := budget.FromContext(ctx); b != nil {
-		v.BudgetStates, v.BudgetSteps = b.States(), b.Steps()
-	}
-	return v, nil
 }
 
 func (e *Engine) check(ctx context.Context, req CheckRequest) (Verdict, error) {
@@ -182,30 +175,15 @@ func verdictOf(out plan.Outcome, src verdictSource) Verdict {
 	}
 }
 
-// Verify model-checks sys ⊨ f through the planner (invariant fast path
-// for □χ, fair-lasso search otherwise) under the engine envelope.
-func (e *Engine) Verify(ctx context.Context, sys *ts.System, f ltl.Formula) (mc.Result, error) {
-	v, err := e.Check(ctx, CheckRequest{Kind: CheckVerify, System: sys, Formula: f})
-	if err != nil {
-		return mc.Result{}, err
-	}
-	return mc.Result{Holds: v.Holds, Counterexample: v.Counterexample}, nil
-}
-
 // PlanAutomaton probes the automaton (memoized under its structural
 // key) and reports which tier its queries land in — the introspection
 // behind speccheck -explain and temporald's plan field.
 func (e *Engine) PlanAutomaton(ctx context.Context, a *omega.Automaton) (plan.Probe, plan.Decision, error) {
-	ctx = e.withBudget(ctx)
-	ctx, done := e.startRequest(ctx, "PlanAutomaton")
-	var p plan.Probe
-	err := capture("PlanAutomaton", func() (err error) {
-		p, err = e.probeAutomaton(ctx, a)
-		return
+	p, err := serve(e, ctx, "PlanAutomaton", func(ctx context.Context) (plan.Probe, error) {
+		return e.probeAutomaton(ctx, a)
 	})
-	done(&err)
 	if err != nil {
-		return plan.Probe{}, plan.Decision{}, wrapErr(err)
+		return plan.Probe{}, plan.Decision{}, err
 	}
 	return p, plan.DecideOperand(p), nil
 }

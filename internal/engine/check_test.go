@@ -5,16 +5,26 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/budget"
+	"repro/internal/core"
+	"repro/internal/obs"
+
 	"repro/internal/alphabet"
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/lang"
 	"repro/internal/ltl"
+	"repro/internal/omega"
 	"repro/internal/plan"
 	"repro/internal/ts"
 )
 
 var ab = alphabet.MustLetters("ab")
+
+// contains asks L(a) ⊇ L(b) through the engine's one query entry.
+func contains(ctx context.Context, eng *engine.Engine, a, b *omega.Automaton) (engine.Verdict, error) {
+	return eng.Check(ctx, engine.CheckRequest{Kind: engine.CheckContains, Left: a, Right: b})
+}
 
 // TestCheckContains runs the unified API end to end on a safety pair:
 // the verdict must come from the safety tier, and the warm repeat from
@@ -193,21 +203,45 @@ func TestCheckBudgetSpendReported(t *testing.T) {
 	}
 }
 
-// TestCheckContainsMatchesWrapper: the legacy Contains wrapper and the
-// unified Check agree (the wrapper routes through the planner too).
-func TestCheckContainsMatchesWrapper(t *testing.T) {
-	eng := engine.New()
-	a := lang.R(lang.MustRegex(".*b", ab))
-	b := lang.P(lang.MustRegex(".*b", ab))
-	v, err := eng.Check(context.Background(), engine.CheckRequest{Kind: engine.CheckContains, Left: a, Right: b})
+var cntMCNodesCheck = obs.NewCounter("mc.lazy.nodes_materialized")
+
+// negationStates is the state charge of compiling ¬f over f's
+// propositions under a fresh budget — the property automaton the model
+// checker builds inside a verification request before it explores the
+// product.
+func negationStates(t *testing.T, f ltl.Formula) int64 {
+	t.Helper()
+	b := budget.New(1<<40, 0)
+	if _, err := core.CompileFormulaCtx(budget.With(context.Background(), b), ltl.Not{F: f}, ltl.Props(f)); err != nil {
+		t.Fatal(err)
+	}
+	return b.States()
+}
+
+// TestCheckVerifyChargesPropertyCompile: a verification request's budget
+// covers the whole request, so the reported spend includes compiling the
+// negated property on top of the product nodes the search closed.
+func TestCheckVerifyChargesPropertyCompile(t *testing.T) {
+	sys, err := ts.TrivialMutex()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, _, err := engine.New().Contains(context.Background(), a, b)
+	f := ltl.MustParse("G (w1 -> F c1)")
+	neg := negationStates(t, f)
+	if neg < 3 {
+		t.Fatalf("compiling ¬f charges %d states; the check needs a multi-state negation", neg)
+	}
+	eng := engine.New(engine.WithStateBudget(1 << 40))
+	nodes := cntMCNodesCheck.Value()
+	v, err := eng.Check(context.Background(), engine.CheckRequest{Kind: engine.CheckVerify, System: sys, Formula: f})
+	nodes = cntMCNodesCheck.Value() - nodes
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Holds != ok {
-		t.Fatalf("Check verdict %v != Contains wrapper %v", v.Holds, ok)
+	if v.Holds || nodes == 0 {
+		t.Fatalf("the trivial mutex must fail accessibility on the product search: %+v, %d nodes", v, nodes)
+	}
+	if v.BudgetStates < neg+nodes {
+		t.Fatalf("request spent %d states; compiling ¬f charges %d and the product closed %d", v.BudgetStates, neg, nodes)
 	}
 }

@@ -36,7 +36,6 @@ import (
 	"repro/internal/omega"
 	"repro/internal/plan"
 	"repro/internal/store"
-	"repro/internal/word"
 )
 
 var (
@@ -130,7 +129,7 @@ func (e *Engine) CacheStats() CacheStats { return e.cache.stats() }
 // wrapErr maps context errors to ErrCanceled (wrapping the original so
 // errors.Is matches both) and passes everything else — including
 // budget.ErrBudgetExceeded and *InternalError — through. Idempotent, so
-// layered entry points can each apply it safely.
+// the cores and the request envelope can each apply it safely.
 func wrapErr(err error) error {
 	if err == nil || errors.Is(err, ErrCanceled) {
 		return err
@@ -215,22 +214,11 @@ func (e *Engine) fanOut(ctx context.Context, tasks ...func() error) error {
 // with the same reachable structure (not just the same pointer) share
 // one classification.
 //
-// The call runs under the engine's resource governance: a fresh budget
-// (if caps are configured and the caller didn't attach one) and a
-// recovery boundary converting internal panics into *InternalError.
+// The call runs under the engine's request envelope (see serve).
 func (e *Engine) ClassifyAutomaton(ctx context.Context, a *omega.Automaton) (core.Classification, error) {
-	ctx = e.withBudget(ctx)
-	ctx, done := e.startRequest(ctx, "ClassifyAutomaton")
-	var c core.Classification
-	err := capture("ClassifyAutomaton", func() (err error) {
-		c, err = e.classifyAutomaton(ctx, a)
-		return
+	return serve(e, ctx, "ClassifyAutomaton", func(ctx context.Context) (core.Classification, error) {
+		return e.classifyAutomaton(ctx, a)
 	})
-	done(&err)
-	if err != nil {
-		return core.Classification{}, wrapErr(err)
-	}
-	return c, nil
 }
 
 func (e *Engine) classifyAutomaton(ctx context.Context, a *omega.Automaton) (core.Classification, error) {
@@ -305,22 +293,11 @@ func resolveProps(f ltl.Formula, props []string) []string {
 // (a common fairness conjunct, say) compile the shared sub-automaton
 // once.
 //
-// The call runs under the engine's resource governance: a fresh budget
-// (if caps are configured and the caller didn't attach one) and a
-// recovery boundary converting internal panics into *InternalError.
+// The call runs under the engine's request envelope (see serve).
 func (e *Engine) CompileFormula(ctx context.Context, f ltl.Formula, props []string) (*omega.Automaton, error) {
-	ctx = e.withBudget(ctx)
-	ctx, done := e.startRequest(ctx, "CompileFormula")
-	var a *omega.Automaton
-	err := capture("CompileFormula", func() (err error) {
-		a, err = e.compileFormula(ctx, f, props)
-		return
+	return serve(e, ctx, "CompileFormula", func(ctx context.Context) (*omega.Automaton, error) {
+		return e.compileFormula(ctx, f, props)
 	})
-	done(&err)
-	if err != nil {
-		return nil, wrapErr(err)
-	}
-	return a, nil
 }
 
 func (e *Engine) compileFormula(ctx context.Context, f ltl.Formula, props []string) (*omega.Automaton, error) {
@@ -384,41 +361,16 @@ func (e *Engine) compileFormula(ctx context.Context, f ltl.Formula, props []stri
 }
 
 // ClassifyFormula compiles the formula and classifies the resulting
-// automaton; both steps hit the memo cache and draw from one shared
-// per-request budget.
+// automaton in one request: both steps hit the memo cache and draw from
+// one shared per-request budget.
 func (e *Engine) ClassifyFormula(ctx context.Context, f ltl.Formula, props []string) (core.Classification, error) {
-	ctx = e.withBudget(ctx)
-	ctx, done := e.startRequest(ctx, "ClassifyFormula")
-	a, err := e.CompileFormula(ctx, f, props)
-	if err != nil {
-		done(&err)
-		return core.Classification{}, err
-	}
-	c, err := e.ClassifyAutomaton(ctx, a)
-	done(&err)
-	return c, err
-}
-
-// Contains decides L(a) ⊇ L(b) exactly, memoized on the pair of
-// structural keys; the witness word of a failed containment is cached
-// alongside the verdict. Since PR 7 the query routes through the
-// planner: both operands are probed (memoized per automaton) and a
-// class-specialized procedure answers when one is sound, with the lazy
-// Streett path as fallback. Runs under the engine's budget and recovery
-// boundary like ClassifyAutomaton.
-func (e *Engine) Contains(ctx context.Context, a, b *omega.Automaton) (bool, word.Lasso, error) {
-	ctx = e.withBudget(ctx)
-	ctx, done := e.startRequest(ctx, "Contains")
-	var out plan.Outcome
-	err := capture("Contains", func() (err error) {
-		out, _, err = e.contains(ctx, a, b)
-		return
+	return serve(e, ctx, "ClassifyFormula", func(ctx context.Context) (core.Classification, error) {
+		a, err := e.compileFormula(ctx, f, props)
+		if err != nil {
+			return core.Classification{}, err
+		}
+		return e.classifyAutomaton(ctx, a)
 	})
-	done(&err)
-	if err != nil {
-		return false, word.Lasso{}, wrapErr(err)
-	}
-	return out.Holds, out.Witness, nil
 }
 
 // verdictSource says which tier answered a planned query: computed
@@ -432,8 +384,8 @@ const (
 	srcStore
 )
 
-// contains is the shared planned-containment core behind Contains,
-// Equivalent and Check. Verdicts are memoized with their provenance, so
+// contains is the planned-containment core behind Check's containment
+// and equivalence kinds. Verdicts are memoized with their provenance, so
 // a cache hit still reports which tier originally answered; fallback
 // outcomes are never cached or persisted — the failure that forced the
 // fallback may have been injected or transient, and caching would both
@@ -468,75 +420,6 @@ func (e *Engine) contains(ctx context.Context, a, b *omega.Automaton) (plan.Outc
 		e.storePutOutcome(key, out)
 	}
 	return out, srcComputed, nil
-}
-
-// Equivalent decides exact language equality as containment both ways,
-// sharing the directional containment cache entries and one per-request
-// budget.
-func (e *Engine) Equivalent(ctx context.Context, a, b *omega.Automaton) (bool, word.Lasso, error) {
-	ctx = e.withBudget(ctx)
-	ctx, done := e.startRequest(ctx, "Equivalent")
-	ok, w, err := e.Contains(ctx, a, b)
-	if err != nil || !ok {
-		done(&err)
-		return ok, w, err
-	}
-	ok, w, err = e.Contains(ctx, b, a)
-	done(&err)
-	return ok, w, err
-}
-
-// Canonicalize rewrites the automaton into the paper's normal form for
-// the given class (Prop. 5.1, constructive direction), memoizing the
-// canonical automaton per (class, structural key). Only the four simple
-// classes have a canonical single-pair form; other classes report an
-// error. Failures (omega.ErrNotInClass) are not cached. Runs under the
-// engine's budget and recovery boundary like ClassifyAutomaton.
-func (e *Engine) Canonicalize(ctx context.Context, a *omega.Automaton, cl core.Class) (*omega.Automaton, error) {
-	ctx = e.withBudget(ctx)
-	ctx, done := e.startRequest(ctx, "Canonicalize")
-	var res *omega.Automaton
-	err := capture("Canonicalize", func() (err error) {
-		res, err = e.canonicalize(ctx, a, cl)
-		return
-	})
-	done(&err)
-	if err != nil {
-		return nil, wrapErr(err)
-	}
-	return res, nil
-}
-
-func (e *Engine) canonicalize(ctx context.Context, a *omega.Automaton, cl core.Class) (*omega.Automaton, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, wrapErr(err)
-	}
-	key := fmt.Sprintf("canon|%d|%s", int(cl), a.StructuralKey())
-	if v, ok := e.cacheGet(key); ok {
-		return v.(*omega.Automaton), nil
-	}
-	var (
-		res *omega.Automaton
-		err error
-	)
-	ctx = e.withJobs(ctx)
-	switch cl {
-	case core.Safety:
-		res, err = a.ToSafetyAutomatonCtx(ctx)
-	case core.Guarantee:
-		res, err = a.ToGuaranteeAutomatonCtx(ctx)
-	case core.Recurrence:
-		res, err = a.ToRecurrenceAutomatonCtx(ctx)
-	case core.Persistence:
-		res, err = a.ToPersistenceAutomatonCtx(ctx)
-	default:
-		return nil, fmt.Errorf("engine: no canonical automaton form for class %v", cl)
-	}
-	if err != nil {
-		return nil, wrapErr(err)
-	}
-	e.cachePut(key, res)
-	return res, nil
 }
 
 // Request is one Batch work item: exactly one of Formula or Automaton
@@ -637,40 +520,36 @@ func (e *Engine) Batch(ctx context.Context, reqs []Request) []Result {
 	return results
 }
 
-// runRequest executes one deduplicated Batch item. The budget is
-// attached here — before the compile and classify stages — so both
-// stages draw from one per-item budget, and the recovery boundary wraps
-// the whole item so an injected or real panic poisons only this item.
+// runRequest executes one deduplicated Batch item as its own request:
+// the envelope gives the item its own budget — shared by the compile and
+// classify stages — its own traced root span (Batch itself stays outside
+// the per-item envelopes, so per-item slow-op records are individually
+// correlatable), and its own recovery boundary, so an injected or real
+// panic poisons only this item.
 func (e *Engine) runRequest(ctx context.Context, r Request) Result {
-	ctx = e.withBudget(ctx)
-	// Each deduplicated item is one traced request: its envelope mints a
-	// fresh TraceID (Batch itself stays outside the per-item envelopes),
-	// so per-item slow-op records are individually correlatable.
-	ctx, done := e.startRequest(ctx, "Batch.item")
-	var res Result
-	err := capture("Batch.item", func() error {
+	res, err := serve(e, ctx, "Batch.item", func(ctx context.Context) (Result, error) {
 		if err := fault.Hit(fault.SiteEngineBatch); err != nil {
-			return err
+			return Result{}, err
 		}
-		res = e.runItem(ctx, r)
-		return nil
+		return e.runItem(ctx, r)
 	})
-	if err != nil {
-		res = Result{Err: wrapErr(err)}
-	}
-	done(&res.Err)
-	return res
-}
-
-func (e *Engine) runItem(ctx context.Context, r Request) Result {
-	if r.Automaton != nil {
-		c, err := e.ClassifyAutomaton(ctx, r.Automaton)
-		return Result{Classification: c, Automaton: r.Automaton, Err: err}
-	}
-	a, err := e.CompileFormula(ctx, r.Formula, r.Props)
 	if err != nil {
 		return Result{Err: err}
 	}
-	c, err := e.ClassifyAutomaton(ctx, a)
-	return Result{Classification: c, Automaton: a, Err: err}
+	return res
+}
+
+func (e *Engine) runItem(ctx context.Context, r Request) (Result, error) {
+	a := r.Automaton
+	if a == nil {
+		var err error
+		if a, err = e.compileFormula(ctx, r.Formula, r.Props); err != nil {
+			return Result{}, err
+		}
+	}
+	c, err := e.classifyAutomaton(ctx, a)
+	if err != nil {
+		return Result{}, err
+	}
+	return Result{Classification: c, Automaton: a}, nil
 }

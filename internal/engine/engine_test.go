@@ -172,10 +172,11 @@ func TestCancellationMidContainment(t *testing.T) {
 	a := gen.RandomStreett(rng, ab, 30, 2, 0.3, 0.4)
 	b := gen.RandomStreett(rng, ab, 30, 2, 0.3, 0.4)
 	eng := engine.New()
-	// One poll is consumed by the entry check; the next poll happens at
-	// the head of the per-pair containment loop, mid-search.
-	ctx := &countdownCtx{Context: context.Background(), polls: 1}
-	_, _, err := eng.Contains(ctx, a, b)
+	// Two polls are consumed by the entry checks of the check and
+	// containment cores; the next poll happens inside the planned query,
+	// mid-search.
+	ctx := &countdownCtx{Context: context.Background(), polls: 2}
+	_, err := contains(ctx, eng, a, b)
 	if err == nil {
 		t.Fatal("containment completed despite mid-search cancellation")
 	}
@@ -267,42 +268,13 @@ func TestCacheDisabled(t *testing.T) {
 	}
 }
 
-// TestCanonicalizeCached checks the ω-canonicalization path: the
-// canonical safety form is built once and then served from cache, and a
-// wrong-class request reports omega.ErrNotInClass.
-func TestCanonicalizeCached(t *testing.T) {
-	eng := engine.New()
-	f := ltl.MustParse("G !(c1 & c2)")
-	a, err := eng.CompileFormula(context.Background(), f, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, err := eng.Canonicalize(context.Background(), a, core.Safety)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !first.IsSafetyAutomaton() {
-		t.Fatal("canonical form is not a syntactic safety automaton")
-	}
-	second, err := eng.Canonicalize(context.Background(), a, core.Safety)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first != second {
-		t.Fatal("second canonicalization did not return the cached automaton")
-	}
-	if _, err := eng.Canonicalize(context.Background(), a, core.Guarantee); !errors.Is(err, omega.ErrNotInClass) {
-		t.Fatalf("guarantee canonicalization of a safety property: err %v, want ErrNotInClass", err)
-	}
-}
-
 // TestContainsMismatchedAlphabets checks that the engine surfaces the
 // alphabet-mismatch diagnostic instead of panicking or caching garbage.
 func TestContainsMismatchedAlphabets(t *testing.T) {
 	eng := engine.New()
 	a := omega.Universal(alphabet.MustLetters("ab"))
 	b := omega.Universal(alphabet.MustLetters("cd"))
-	if _, _, err := eng.Contains(context.Background(), a, b); err == nil {
+	if _, err := contains(context.Background(), eng, a, b); err == nil {
 		t.Fatal("containment over different alphabets did not error")
 	}
 }

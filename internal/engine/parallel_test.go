@@ -62,19 +62,19 @@ func bigFairnessPair(t *testing.T) (a, b *omega.Automaton) {
 // engaged.
 func TestParallelEngineMatchesSequential(t *testing.T) {
 	a, b := bigFairnessPair(t)
-	seqOK, seqW, err := engine.New(engine.WithParallelism(1)).Contains(context.Background(), a, b)
+	seq, err := contains(context.Background(), engine.New(engine.WithParallelism(1)), a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wavesBefore := cntParWavesEng.Value()
-	parOK, parW, err := engine.New(engine.WithParallelism(8)).Contains(context.Background(), a, b)
+	par, err := contains(context.Background(), engine.New(engine.WithParallelism(8)), a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if parOK != seqOK || !reflect.DeepEqual(parW, seqW) {
-		t.Fatalf("parallel engine (%v, %v) != sequential engine (%v, %v)", parOK, parW, seqOK, seqW)
+	if par.Holds != seq.Holds || !reflect.DeepEqual(par.Witness, seq.Witness) {
+		t.Fatalf("parallel engine (%v, %v) != sequential engine (%v, %v)", par.Holds, par.Witness, seq.Holds, seq.Witness)
 	}
-	if !parOK {
+	if !par.Holds {
 		t.Fatal("conjoined fairness containment must hold")
 	}
 	if cntParWavesEng.Value() == wavesBefore {
@@ -95,7 +95,7 @@ func TestParallelEngineFaultGovernance(t *testing.T) {
 		cleanup := fault.InjectError(fault.SiteOmegaLazy, 500, boom)
 		defer cleanup()
 		before := cntLazyStatesEng.Value()
-		_, _, err := eng.Contains(context.Background(), a, b)
+		_, err := contains(context.Background(), eng, a, b)
 		return eng, err, cntLazyStatesEng.Value() - before
 	}
 	_, seqErr, seqStates := run(1)
@@ -112,16 +112,16 @@ func TestParallelEngineFaultGovernance(t *testing.T) {
 	}
 	// Cache hygiene: the faulted query must not have cached a verdict —
 	// the warm retry on the same engine must agree with a fresh engine.
-	ok, _, err := eng8.Contains(context.Background(), a, b)
+	warm, err := contains(context.Background(), eng8, a, b)
 	if err != nil {
 		t.Fatalf("warm retry after parallel lazy fault: %v", err)
 	}
-	wantOK, _, err := engine.New().Contains(context.Background(), a, b)
+	want, err := contains(context.Background(), engine.New(), a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok != wantOK {
-		t.Fatalf("warm retry %v != fresh engine %v — faulted verdict was cached", ok, wantOK)
+	if warm.Holds != want.Holds {
+		t.Fatalf("warm retry %v != fresh engine %v — faulted verdict was cached", warm.Holds, want.Holds)
 	}
 }
 
@@ -154,13 +154,16 @@ func runRingVerify(t *testing.T, workers int, opts ...engine.Option) (error, int
 // TestParallelVerifyBudgetParity: the model checker's product charges the
 // request's state budget per closed node, exactly as omega's lazy product
 // does, so a budget below the product size stops the check — after the
-// same spend at one worker and at two.
+// same spend at one worker and at two. The request first compiles the
+// negated property under the same budget, so the product gets what that
+// compile leaves.
 func TestParallelVerifyBudgetParity(t *testing.T) {
 	_, full, _ := runRingVerify(t, 1)
 	const limit = 100
 	if full <= limit {
 		t.Fatalf("ring product closes %d nodes; the budget must sit below it", full)
 	}
+	productShare := limit - negationStates(t, ringVerify(t).Formula)
 	spend := map[int]int64{}
 	for _, workers := range []int{1, 2} {
 		err, nodes, sharded := runRingVerify(t, workers, engine.WithStateBudget(limit))
@@ -168,8 +171,9 @@ func TestParallelVerifyBudgetParity(t *testing.T) {
 		if !errors.As(err, &ex) || ex.Resource != "states" {
 			t.Fatalf("workers=%d: want a states budget exhaustion, got %v", workers, err)
 		}
-		if nodes != limit {
-			t.Fatalf("workers=%d: closed %d product nodes under a %d-state budget", workers, nodes, limit)
+		if nodes != productShare {
+			t.Fatalf("workers=%d: closed %d product nodes under a %d-state budget, want %d",
+				workers, nodes, limit, productShare)
 		}
 		if workers > 1 && !sharded {
 			t.Fatalf("workers=%d: no sharded wave ran", workers)

@@ -43,7 +43,7 @@ func capture(op string, fn func() error) (err error) {
 
 // WithStateBudget caps the number of automaton states any single request
 // may materialize across all its constructions (subset construction,
-// DFA/ω-products, canonicalization merges). A request exceeding the cap
+// DFA/ω-products, model-checking product nodes). A request exceeding the cap
 // fails with budget.ErrBudgetExceeded instead of exhausting memory;
 // n <= 0 means unlimited (the default).
 func WithStateBudget(n int64) Option {
@@ -77,9 +77,9 @@ func (e *Engine) withBudget(ctx context.Context) context.Context {
 // withJobs attaches the engine's worker-pool bound as the parallelism
 // hint the exploration frontier reads to shard its waves, unless the
 // caller pinned one. It runs only on the miss paths that can reach a
-// frontier (planned containment, canonicalization, model checking), so
-// memo hits cost no context allocation; a sequential pool skips it too,
-// since the frontier defaults to one worker.
+// frontier (planned containment, model checking), so memo hits cost no
+// context allocation; a sequential pool skips it too, since the frontier
+// defaults to one worker.
 func (e *Engine) withJobs(ctx context.Context) context.Context {
 	if _, ok := par.JobsFrom(ctx); !ok && e.workers > 1 {
 		ctx = par.WithJobs(ctx, e.workers)

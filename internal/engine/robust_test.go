@@ -284,19 +284,19 @@ func TestContainsUnderBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := budget.With(context.Background(), budget.New(1, 0))
-	if _, _, err := eng.Contains(ctx, a, b); !errors.Is(err, budget.ErrBudgetExceeded) {
+	if _, err := contains(ctx, eng, a, b); !errors.Is(err, budget.ErrBudgetExceeded) {
 		t.Fatalf("starved containment should abort, got %v", err)
 	}
-	ok, _, err := eng.Contains(context.Background(), a, b)
+	got, err := contains(context.Background(), eng, a, b)
 	if err != nil {
 		t.Fatalf("containment after abort: %v", err)
 	}
-	wantOK, _, err := engine.New().Contains(context.Background(), a, b)
+	want, err := contains(context.Background(), engine.New(), a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok != wantOK {
-		t.Fatalf("containment after abort = %v, fresh engine = %v", ok, wantOK)
+	if got.Holds != want.Holds {
+		t.Fatalf("containment after abort = %v, fresh engine = %v", got.Holds, want.Holds)
 	}
 }
 
@@ -323,23 +323,23 @@ func TestContainsUnderLazyFault(t *testing.T) {
 	}
 	boom := errors.New("injected lazy fault")
 	cleanup := fault.InjectError(fault.SiteOmegaLazy, 5, boom)
-	_, _, err = eng.Contains(context.Background(), a, b)
+	_, err = contains(context.Background(), eng, a, b)
 	cleanup()
 	if !errors.Is(err, boom) {
 		t.Fatalf("faulted containment should surface the injection, got %v", err)
 	}
-	ok, w, err := eng.Contains(context.Background(), a, b)
+	warm, err := contains(context.Background(), eng, a, b)
 	if err != nil {
 		t.Fatalf("warm retry after lazy fault: %v", err)
 	}
-	if !ok {
-		t.Fatalf("conjoined fairness containment must hold, got witness %v", w)
+	if !warm.Holds {
+		t.Fatalf("conjoined fairness containment must hold, got witness %v", warm.Witness)
 	}
-	wantOK, _, err := engine.New().Contains(context.Background(), a, b)
+	want, err := contains(context.Background(), engine.New(), a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok != wantOK {
-		t.Fatalf("warm retry %v != fresh engine %v — faulted verdict was cached", ok, wantOK)
+	if warm.Holds != want.Holds {
+		t.Fatalf("warm retry %v != fresh engine %v — faulted verdict was cached", warm.Holds, want.Holds)
 	}
 }

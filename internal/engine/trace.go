@@ -8,11 +8,30 @@ import (
 	"repro/internal/obs"
 )
 
-// reqMarker marks a context as already inside an engine request
-// envelope, so layered entry points (ClassifyFormula calling
-// CompileFormula, Batch items calling ClassifyAutomaton) open exactly
-// one envelope per top-level request.
-type reqMarker struct{}
+// serve runs one exported entry point's request under the engine's
+// request envelope, applying in order: withBudget (a fresh request budget
+// when caps are configured and the caller attached none), startRequest
+// (the traced "engine.request" root span), capture (the recovery boundary
+// turning a panic into an *InternalError carrying op), the span's
+// cost/outcome stamp, and wrapErr. A failed request returns T's zero
+// value. serve is startRequest's only caller and entries compose the
+// unexported cores, never each other, so every request opens exactly one
+// envelope.
+func serve[T any](e *Engine, ctx context.Context, op string, fn func(context.Context) (T, error)) (T, error) {
+	ctx = e.withBudget(ctx)
+	ctx, done := e.startRequest(ctx, op)
+	var v T
+	err := capture(op, func() (err error) {
+		v, err = fn(ctx)
+		return
+	})
+	done(&err)
+	if err != nil {
+		var zero T
+		return zero, wrapErr(err)
+	}
+	return v, nil
+}
 
 // noFinish is the disabled-path finisher, shared so the no-op case does
 // not allocate a closure.
@@ -35,10 +54,6 @@ func (e *Engine) startRequest(ctx context.Context, op string) (context.Context, 
 	if !obs.Enabled() && obs.TraceIDFrom(ctx) == "" {
 		return ctx, noFinish
 	}
-	if ctx.Value(reqMarker{}) != nil {
-		return ctx, noFinish
-	}
-	ctx = context.WithValue(ctx, reqMarker{}, struct{}{})
 	ctx, _ = obs.EnsureTraceID(ctx)
 	sp := obs.StartIn(ctx, "engine.request")
 	sp.Str("op", op)

@@ -12,12 +12,14 @@ package mc
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
 
 	"repro/internal/alphabet"
 	"repro/internal/autkern"
+	"repro/internal/budget"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/ltl"
@@ -81,7 +83,7 @@ func VerifyCtx(ctx context.Context, sys *ts.System, f ltl.Formula) (Result, erro
 	defer sp.End()
 	cntVerifyCalls.Inc()
 	props := unionProps(sys, f)
-	neg, err := negationAutomaton(f, props)
+	neg, err := negationAutomaton(ctx, f, props)
 	if err != nil {
 		return Result{}, err
 	}
@@ -124,18 +126,25 @@ func unionProps(sys *ts.System, f ltl.Formula) []string {
 	return out
 }
 
-// negationAutomaton builds an automaton for ¬f over 2^props.
-func negationAutomaton(f ltl.Formula, props []string) (*omega.Automaton, error) {
-	sp := obs.Start("mc.negation").Stringer("formula", f)
+// negationAutomaton builds an automaton for ¬f over 2^props. Both
+// compilations run under ctx, so they are charged to the request's
+// budget, stop on cancellation and nest under the request's span.
+func negationAutomaton(ctx context.Context, f ltl.Formula, props []string) (*omega.Automaton, error) {
+	sp := obs.StartIn(ctx, "mc.negation").Stringer("formula", f)
 	defer sp.End()
-	neg, errNeg := core.CompileFormula(ltl.Not{F: f}, props)
+	neg, errNeg := core.CompileFormulaCtx(ctx, ltl.Not{F: f}, props)
 	if errNeg == nil {
 		sp.Int("states", neg.NumStates()).Int("pairs", neg.NumPairs())
 		return neg, nil
 	}
-	pos, errPos := core.CompileFormula(f, props)
+	if ctx.Err() != nil || errors.Is(errNeg, budget.ErrBudgetExceeded) {
+		// A governance abort is the request's answer, not a reason to
+		// try the positive formula.
+		return nil, errNeg
+	}
+	pos, errPos := core.CompileFormulaCtx(ctx, f, props)
 	if errPos != nil {
-		return nil, fmt.Errorf("mc: cannot compile ¬f (%v) nor f (%v)", errNeg, errPos)
+		return nil, fmt.Errorf("mc: cannot compile ¬f (%v) nor f (%w)", errNeg, errPos)
 	}
 	comp, err := pos.ComplementSinglePair()
 	if err != nil {

@@ -113,8 +113,8 @@ fi
 echo "frontier lint ok"
 
 # Planner lint: production code must route containment through the
-# planner (plan.Contains / engine Check), which falls back to the eager
-# oracle itself when probes carry no class evidence. Direct
+# planner via Engine.Check, the one query entry, which falls back to the
+# eager oracle itself when probes carry no class evidence. Direct
 # ContainsEager calls are for the oracle's own home (internal/omega),
 # the planner's fallback path (internal/plan) and differential tests.
 echo "== planner lint =="
@@ -122,11 +122,31 @@ hits=$(grep -rn --include='*.go' 'ContainsEager' internal cmd ./*.go \
     | grep -v '^internal/omega/' | grep -v '^internal/plan/' \
     | grep -v '_test\.go:' || true)
 if [ -n "$hits" ]; then
-    echo "direct ContainsEager outside internal/omega|internal/plan (route through plan.Contains or engine Check):" >&2
+    echo "direct ContainsEager outside internal/omega|internal/plan (route through Engine.Check):" >&2
     echo "$hits" >&2
     exit 1
 fi
 echo "planner lint ok"
+
+# Query-path lint: Engine.Check is the only entry for containment,
+# equivalence, emptiness and model checking, and every exported engine
+# entry opens its request envelope through one helper. A second
+# startRequest call site, or a wrapper method beside Check, starts a
+# parallel query path again.
+echo "== query-path lint =="
+hits=$(grep -rn --include='*.go' 'e\.startRequest(' internal/engine | grep -v '_test\.go:' || true)
+if [ "$(grep -c . <<<"$hits")" -gt 1 ]; then
+    echo "startRequest called more than once in internal/engine (open envelopes through serve):" >&2
+    echo "$hits" >&2
+    exit 1
+fi
+hits=$(grep -rnE --include='*.go' 'func \([a-z]+ \*Engine\) (Contains|Equivalent|Verify|Canonicalize)\(' internal/engine || true)
+if [ -n "$hits" ]; then
+    echo "query wrapper beside Engine.Check (route the query through Check):" >&2
+    echo "$hits" >&2
+    exit 1
+fi
+echo "query-path lint ok"
 
 # Benchmark smoke: every benchmark must still run (one iteration each),
 # and bench.sh's quick mode enforces the deterministic lazy-vs-eager

@@ -16,7 +16,8 @@
 // It also provides the orthogonal safety–liveness classification
 // (DecomposeSL, IsLiveness, IsUniformLiveness), and a model checker for
 // fair transition systems demonstrating the proof principles attached to
-// the classes (Verify, Invariant, CheckInductive, ExtractRanking).
+// the classes (Check with CheckVerify, Invariant, CheckInductive,
+// ExtractRanking).
 //
 // Quick start:
 //
@@ -75,8 +76,6 @@ type (
 	SystemBuilder = ts.Builder
 	// Fairness is a transition fairness requirement.
 	Fairness = ts.Fairness
-	// Result is a model-checking verdict.
-	Result = mc.Result
 	// Trace is a lasso-shaped counterexample computation.
 	Trace = mc.Trace
 	// SLParts is the safety–liveness decomposition Π = Π_S ∩ Π_L.
@@ -236,14 +235,6 @@ func Semaphore(acquireFair Fairness) (*System, error) { return ts.Semaphore(acqu
 // TrivialMutex returns the do-nothing "mutex" of the introduction.
 func TrivialMutex() (*System, error) { return ts.TrivialMutex() }
 
-// Verify model-checks sys ⊨ f over fair computations. It is the
-// convenience form of VerifyCtx on the default engine, which routes
-// through the hierarchy-aware planner: □χ invariants are decided by
-// plain reachability, everything else by the fair-lasso search.
-func Verify(sys *System, f Formula) (Result, error) {
-	return VerifyCtx(context.Background(), sys, f)
-}
-
 // Invariant checks □χ by reachability (the safety proof obligation).
 // It is the context.Background() form of InvariantCtx.
 func Invariant(sys *System, chi Formula) (bool, []int, error) {
@@ -336,21 +327,6 @@ func ToPersistenceAutomaton(a *Automaton) (*Automaton, error) { return a.ToPersi
 // Interior returns the largest open subset of the property (general
 // multi-pair construction).
 func Interior(a *Automaton) *Automaton { return a.Interior() }
-
-// Equivalent decides exact language equality of two Streett automata,
-// returning a separating lasso word on failure. It is the convenience
-// form of Engine.Equivalent on the default engine; use EquivalentCtx for
-// cancellation.
-func Equivalent(a, b *Automaton) (bool, Word, error) {
-	return defaultEngine.Equivalent(context.Background(), a, b)
-}
-
-// Contains decides L(a) ⊇ L(b) exactly, returning a witness of
-// L(b) − L(a) on failure. It is the convenience form of Engine.Contains
-// on the default engine; use ContainsCtx for cancellation.
-func Contains(a, b *Automaton) (bool, Word, error) {
-	return defaultEngine.Contains(context.Background(), a, b)
-}
 
 // Specification patterns (the checklist vocabulary of §1, in the style of
 // Dwyer–Avrunin–Corbett), re-exported from internal/patterns.

@@ -125,12 +125,19 @@ func TestFacadeTopologyAndSL(t *testing.T) {
 	}
 }
 
+// verify model-checks sys ⊨ f through the unified query entry.
+func verify(sys *temporal.System, f string) (temporal.Verdict, error) {
+	return temporal.Check(temporal.CheckRequest{
+		Kind: temporal.CheckVerify, System: sys, Formula: temporal.MustParseFormula(f),
+	})
+}
+
 func TestFacadeVerification(t *testing.T) {
 	sys, err := temporal.Peterson()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := temporal.Verify(sys, temporal.MustParseFormula("G !(c1 & c2)"))
+	res, err := verify(sys, "G !(c1 & c2)")
 	if err != nil || !res.Holds {
 		t.Errorf("Peterson mutex: %v %v", res.Holds, err)
 	}
@@ -145,7 +152,7 @@ func TestFacadeVerification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = temporal.Verify(triv, temporal.MustParseFormula("G (w1 -> F c1)"))
+	res, err = verify(triv, "G (w1 -> F c1)")
 	if err != nil || res.Holds {
 		t.Error("trivial mutex must fail accessibility")
 	}
@@ -167,7 +174,7 @@ func TestFacadeVerification(t *testing.T) {
 	if err := rank.Validate(sys2); err != nil {
 		t.Fatal(err)
 	}
-	res, err = temporal.Verify(sys2, temporal.MustParseFormula("F done"))
+	res, err = verify(sys2, "F done")
 	if err != nil || !res.Holds {
 		t.Errorf("termination: %v %v", res.Holds, err)
 	}
