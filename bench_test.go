@@ -534,7 +534,7 @@ func BenchmarkReduce(b *testing.B) {
 		a := gen.RandomStreett(rng, benchAB, n, 1, 0.3, 0.4)
 		b.Run(fmt.Sprintf("states=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				a.Reduce()
+				a.Reduce(context.Background())
 			}
 		})
 	}

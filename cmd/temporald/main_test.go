@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -149,8 +150,12 @@ func TestMetricsExposesEngineCounters(t *testing.T) {
 	}
 }
 
-// TestClassifyTraceJSONL: with a JSONL sink attached, a classify request
-// leaves span records stamped with the response's trace id.
+// TestClassifyTraceJSONL: with a JSONL sink attached, concurrent
+// classify requests leave span records stamped with their responses'
+// trace ids. Split at its depth-0 records, the trace is one tree per
+// engine entry a request ran: every root is an engine.request, every
+// record carries its root's id, and each response's X-Trace-Id owns
+// exactly three roots (compile, classify, plan).
 func TestClassifyTraceJSONL(t *testing.T) {
 	var buf bytes.Buffer
 	j := obs.NewJSONLSink(&buf)
@@ -159,22 +164,58 @@ func TestClassifyTraceJSONL(t *testing.T) {
 
 	srv := newServer(nil, time.Minute, 0)
 	mux := newTestMux(t, srv)
-	rr, rec := postClassify(t, mux, `{"formula":"p U q"}`)
-	if rr.Code != http.StatusOK {
-		t.Fatalf("classify = %d: %v", rr.Code, rec)
+	const posts = 8
+	rrs := make([]*httptest.ResponseRecorder, posts)
+	var wg sync.WaitGroup
+	for i := range rrs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			body := fmt.Sprintf(`{"formula":"p%d U q"}`, i)
+			rrs[i] = httptest.NewRecorder()
+			mux.ServeHTTP(rrs[i], httptest.NewRequest(http.MethodPost, "/classify", strings.NewReader(body)))
+		}(i)
 	}
+	wg.Wait()
 	obs.Detach()
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	id := rec["trace_id"].(string)
-	stamp := fmt.Sprintf("%q:%q", "trace_id", id)
-	if !strings.Contains(buf.String(), stamp) {
-		t.Fatalf("JSONL trace has no records for trace id %s:\n%.400s", id, buf.String())
+	roots := map[string]int{}
+	var rootID string
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var rec struct {
+			Record  string `json:"record"`
+			Name    string `json:"name"`
+			TraceID string `json:"trace_id"`
+			Depth   int    `json:"depth"`
+		}
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("invalid JSON line %q: %v", line, err)
+		}
+		if rec.Record != "span" {
+			continue
+		}
+		if rec.Depth == 0 {
+			if rec.Name != "engine.request" {
+				t.Errorf("root span %q, want engine.request", rec.Name)
+			}
+			rootID = rec.TraceID
+			roots[rootID]++
+		}
+		if rec.TraceID != rootID {
+			t.Errorf("span %q carries trace id %q inside trace %q", rec.Name, rec.TraceID, rootID)
+		}
 	}
-	if !strings.Contains(buf.String(), `"name":"engine.request"`) {
-		t.Error("trace missing engine.request root span")
+	for i, rr := range rrs {
+		if rr.Code != http.StatusOK {
+			t.Fatalf("POST %d = %d: %s", i, rr.Code, rr.Body.String())
+		}
+		id := rr.Header().Get("X-Trace-Id")
+		if roots[id] != 3 {
+			t.Errorf("trace id %s has %d engine.request roots, want 3", id, roots[id])
+		}
 	}
 }
 

@@ -103,7 +103,7 @@ func Register(fs *flag.FlagSet, mask Flag) *Common {
 		fs.DurationVar(&c.Timeout, "timeout", 0, "wall-clock deadline for the whole run, e.g. 30s (0 = none)")
 	}
 	if mask&FlagJobs != 0 {
-		fs.IntVar(&c.Jobs, "jobs", 0, "engine worker-pool bound, also shards state-space search waves in model checking (0 = number of CPUs)")
+		fs.IntVar(&c.Jobs, "jobs", 0, "engine worker-pool bound, also shards the state-space search waves of model checking and of containment's lazy product (0 = number of CPUs)")
 	}
 	if mask&FlagStore != 0 {
 		fs.StringVar(&c.StorePath, "store", "", "persistent verdict store file: warm-start from it and persist new terminal verdicts (created if absent)")

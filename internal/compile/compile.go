@@ -99,7 +99,8 @@ func PastToDFAOverAlphabetCtx(ctx context.Context, p ltl.Formula, alpha *alphabe
 }
 
 func pastToDFAOver(ctx context.Context, p ltl.Formula, alpha *alphabet.Alphabet, capStates int) (*dfa.DFA, error) {
-	sp := obs.StartIn(ctx, "compile.past2dfa").Stringer("formula", p).Int("alphabet", alpha.Size())
+	ctx, sp := obs.Start(ctx, "compile.past2dfa")
+	sp.Stringer("formula", p).Int("alphabet", alpha.Size())
 	defer sp.End()
 	cntPastDFACalls.Inc()
 

@@ -49,7 +49,7 @@ func (an *Analysis) Safety(ctx context.Context) (bool, error) {
 	if err := budget.Poll(ctx, 1); err != nil {
 		return false, err
 	}
-	sub := obs.StartIn(ctx, "classify.safety")
+	_, sub := obs.Start(ctx, "classify.safety")
 	defer sub.End()
 	ok := an.a.RejectingCycleWithin(an.liveReach) == nil
 	sub.Bool("safety", ok)
@@ -62,7 +62,7 @@ func (an *Analysis) Guarantee(ctx context.Context) (bool, error) {
 	if err := budget.Poll(ctx, 1); err != nil {
 		return false, err
 	}
-	sub := obs.StartIn(ctx, "classify.guarantee")
+	_, sub := obs.Start(ctx, "classify.guarantee")
 	defer sub.End()
 	ok := an.a.AcceptingCycleWithin(an.coLiveReach) == nil
 	sub.Bool("guarantee", ok)
@@ -73,7 +73,7 @@ func (an *Analysis) Guarantee(ctx context.Context) (bool, error) {
 // closed under accessible supersets — no rejecting cycle contains an
 // accepting one.
 func (an *Analysis) Recurrence(ctx context.Context) (bool, error) {
-	sub := obs.StartIn(ctx, "classify.recurrence")
+	ctx, sub := obs.Start(ctx, "classify.recurrence")
 	defer sub.End()
 	ok, err := isRecurrence(ctx, an.a, an.reach)
 	if err != nil {
@@ -86,7 +86,7 @@ func (an *Analysis) Recurrence(ctx context.Context) (bool, error) {
 // Persistence decides the F_σ condition: F is closed under accessible
 // subsets — no accepting cycle contains a rejecting one.
 func (an *Analysis) Persistence(ctx context.Context) (bool, error) {
-	sub := obs.StartIn(ctx, "classify.persistence")
+	ctx, sub := obs.Start(ctx, "classify.persistence")
 	defer sub.End()
 	ok, err := isPersistence(ctx, an.a, an.reach)
 	if err != nil {
@@ -102,7 +102,7 @@ func (an *Analysis) ReactivityRank(ctx context.Context) (int, error) {
 	if err := budget.Poll(ctx, 1); err != nil {
 		return 0, err
 	}
-	sub := obs.StartIn(ctx, "classify.rank.reactivity")
+	_, sub := obs.Start(ctx, "classify.rank.reactivity")
 	defer sub.End()
 	r := reactivityRank(an.a, an.reach)
 	sub.Int("reactivity_rank", r)
@@ -115,7 +115,7 @@ func (an *Analysis) ObligationRank(ctx context.Context) (int, error) {
 	if err := budget.Poll(ctx, 1); err != nil {
 		return 0, err
 	}
-	sub := obs.StartIn(ctx, "classify.rank.obligation")
+	_, sub := obs.Start(ctx, "classify.rank.obligation")
 	defer sub.End()
 	r := obligationRank(an.a, an.reach)
 	sub.Int("obligation_rank", r)
@@ -177,7 +177,8 @@ func ClassifyAutomaton(a *omega.Automaton) Classification {
 // cancels. The checks run sequentially here; internal/engine runs them
 // concurrently on a worker pool.
 func ClassifyAutomatonCtx(ctx context.Context, a *omega.Automaton) (Classification, error) {
-	sp := obs.StartIn(ctx, "classify.automaton").Int("states", a.NumStates()).Int("pairs", a.NumPairs())
+	ctx, sp := obs.Start(ctx, "classify.automaton")
+	sp.Int("states", a.NumStates()).Int("pairs", a.NumPairs())
 	defer sp.End()
 	cntClassifications.Inc()
 	an := Analyze(a)
@@ -200,7 +201,7 @@ func ClassifyAutomatonCtx(ctx context.Context, a *omega.Automaton) (Classificati
 	}
 	c := Resolve(safety, guarantee, recurrence, persistence)
 
-	sub := obs.StartIn(ctx, "classify.ranks")
+	ctx, sub := obs.Start(ctx, "classify.ranks")
 	c.ReactivityRank, err = an.ReactivityRank(ctx)
 	if err == nil && c.Obligation {
 		c.ObligationRank, err = an.ObligationRank(ctx)

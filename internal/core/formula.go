@@ -156,8 +156,10 @@ type comb struct {
 func leaf(k UnitKind, arg ltl.Formula) *comb { return &comb{unit: &Unit{Kind: k, Arg: arg}} }
 
 // Normalize rewrites a formula into the conjunctive normal form of §4.
-func Normalize(f ltl.Formula) (NormalForm, error) {
-	sp := obs.Start("core.normalize").Stringer("formula", f)
+// Its "core.normalize" span nests under the span ctx carries.
+func Normalize(ctx context.Context, f ltl.Formula) (NormalForm, error) {
+	_, sp := obs.Start(ctx, "core.normalize")
+	sp.Stringer("formula", f)
 	defer sp.End()
 	c, err := rewrite(ltl.Nnf(f), true)
 	if err != nil {
@@ -916,7 +918,7 @@ func collapseClause(units []Unit) Clause {
 // upper bound on (and in the canonical cases equal to) the semantic
 // class; use ClassifyFormula for the exact semantic classification.
 func SyntacticClass(f ltl.Formula) (Class, NormalForm, error) {
-	nf, err := Normalize(f)
+	nf, err := Normalize(context.Background(), f)
 	if err != nil {
 		return 0, NormalForm{}, err
 	}
@@ -1041,10 +1043,11 @@ func CompileFormulaOver(f ltl.Formula, alpha *alphabet.Alphabet, props []string)
 // CompileFormulaOverCtx is CompileFormulaOver with cooperative
 // cancellation.
 func CompileFormulaOverCtx(ctx context.Context, f ltl.Formula, alpha *alphabet.Alphabet, props []string) (*omega.Automaton, error) {
-	sp := obs.StartIn(ctx, "compile.formula").Stringer("formula", f).Int("alphabet", alpha.Size())
+	ctx, sp := obs.Start(ctx, "compile.formula")
+	sp.Stringer("formula", f).Int("alphabet", alpha.Size())
 	defer sp.End()
 	cntFormulasCompiled.Inc()
-	nf, err := Normalize(f)
+	nf, err := Normalize(ctx, f)
 	if err != nil {
 		return nil, err
 	}
@@ -1073,7 +1076,7 @@ func CompileFormulaOverCtx(ctx context.Context, f ltl.Formula, alpha *alphabet.A
 	}
 	// Quotient bisimilar states: products of clause automata often carry
 	// duplicated tracking structure.
-	res := prod.Reduce()
+	res := prod.Reduce(ctx)
 	sp.Int("states", res.NumStates()).Int("pairs", res.NumPairs())
 	return res, nil
 }

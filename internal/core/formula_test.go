@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -43,7 +44,7 @@ func satMatchesAutomaton(t *testing.T, fstr string) {
 			t.Fatal(err)
 		}
 		if got != want {
-			nf, _ := core.Normalize(f)
+			nf, _ := core.Normalize(context.Background(), f)
 			t.Fatalf("%s: automaton disagrees with semantics on %v: got %v, want %v\nNF: %v",
 				fstr, w, got, want, nf)
 		}
@@ -223,7 +224,7 @@ func TestNormalizeUnsupported(t *testing.T) {
 	}
 	for _, fstr := range unsupported {
 		t.Run(fstr, func(t *testing.T) {
-			_, err := core.Normalize(ltl.MustParse(fstr))
+			_, err := core.Normalize(context.Background(), ltl.MustParse(fstr))
 			if err == nil {
 				t.Skip("normalizer handled it — acceptable, fragment may grow")
 			}
@@ -245,7 +246,7 @@ func TestNormalFormReconstruction(t *testing.T) {
 	corpus := gen.Lassos(alpha, 2, 2)
 	for _, fstr := range formulas {
 		f := ltl.MustParse(fstr)
-		nf, err := core.Normalize(f)
+		nf, err := core.Normalize(context.Background(), f)
 		if err != nil {
 			t.Fatal(err)
 		}

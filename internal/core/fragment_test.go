@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -35,7 +36,7 @@ func TestRandomFragmentSoundness(t *testing.T) {
 			}
 			t.Fatalf("compile %q: %v", f.String(), err)
 		}
-		nf, err := core.Normalize(f)
+		nf, err := core.Normalize(context.Background(), f)
 		if err != nil {
 			t.Fatalf("normalize after successful compile: %v", err)
 		}

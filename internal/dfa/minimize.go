@@ -12,9 +12,10 @@ import (
 // reachable states), using Hopcroft's partition-refinement algorithm.
 // The result is complete and deterministic like its input; states are
 // numbered in BFS order from the start state so that equal languages yield
-// structurally identical automata.
+// structurally identical automata. Minimize runs untraced: it opens no
+// span, since it has no request context to nest one under.
 func (d *DFA) Minimize() *DFA {
-	m, err := d.MinimizeCtx(context.Background())
+	m, err := d.minimize(context.Background())
 	if err != nil {
 		// Only reachable under a context budget or test-only fault
 		// injection; the background context carries neither.
@@ -28,8 +29,17 @@ func (d *DFA) Minimize() *DFA {
 // minimizing a huge automaton under a step cap aborts with
 // budget.ErrBudgetExceeded.
 func (d *DFA) MinimizeCtx(ctx context.Context) (*DFA, error) {
-	sp := obs.StartIn(ctx, "dfa.minimize").Int("in_states", d.NumStates())
+	ctx, sp := obs.Start(ctx, "dfa.minimize")
+	sp.Int("in_states", d.NumStates())
 	defer sp.End()
+	m, err := d.minimize(ctx)
+	if err == nil {
+		sp.Int("states", m.NumStates())
+	}
+	return m, err
+}
+
+func (d *DFA) minimize(ctx context.Context) (*DFA, error) {
 	t := d.Trim()
 	n := t.NumStates()
 	k := t.alpha.Size()
@@ -192,6 +202,5 @@ func (d *DFA) MinimizeCtx(ctx context.Context) (*DFA, error) {
 		trans[i] = row
 		accept[i] = rawAccept[b]
 	}
-	sp.Int("states", len(order))
 	return New(t.alpha, trans, 0, accept)
 }

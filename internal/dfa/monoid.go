@@ -3,8 +3,6 @@ package dfa
 import (
 	"errors"
 	"fmt"
-
-	"repro/internal/obs"
 )
 
 // ErrMonoidTooLarge is returned when the transformation monoid exceeds the
@@ -53,8 +51,6 @@ func (m *Monoid) Witness(i int) string { return m.words[i] }
 // composition. It fails with ErrMonoidTooLarge if more than cap elements
 // are generated; cap ≤ 0 means no cap.
 func (d *DFA) TransitionMonoid(capSize int) (*Monoid, error) {
-	sp := obs.Start("dfa.monoid").Int("states", d.NumStates())
-	defer sp.End()
 	n := d.NumStates()
 	k := d.alpha.Size()
 	gens := make([]Transformation, k)
@@ -91,7 +87,6 @@ func (d *DFA) TransitionMonoid(capSize int) (*Monoid, error) {
 	if capSize > 0 && len(m.elements) > capSize {
 		return nil, fmt.Errorf("%w: > %d elements", ErrMonoidTooLarge, capSize)
 	}
-	sp.Int("elements", len(m.elements))
 	return m, nil
 }
 

@@ -59,7 +59,8 @@ func (d *DFA) ProductCtx(ctx context.Context, e *DFA, op BoolOp) (*DFA, error) {
 	if !d.alpha.Equal(e.alpha) {
 		return nil, fmt.Errorf("dfa: product over different alphabets %v and %v", d.alpha, e.alpha)
 	}
-	sp := obs.StartIn(ctx, "dfa.product").Int("left_states", d.NumStates()).Int("right_states", e.NumStates())
+	ctx, sp := obs.Start(ctx, "dfa.product")
+	sp.Int("left_states", d.NumStates()).Int("right_states", e.NumStates())
 	defer sp.End()
 	k := d.alpha.Size()
 	in := autkern.NewPairInterner()

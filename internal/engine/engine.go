@@ -80,7 +80,6 @@ type Engine struct {
 	// for StoreStats. The engine never fails a query on store trouble —
 	// the store self-disables and the engine runs in-memory.
 	storePath string
-	storeOpts []store.Option
 	store     *store.Store
 	storeErr  error
 }
@@ -119,9 +118,6 @@ func New(opts ...Option) *Engine {
 	e.openStore()
 	return e
 }
-
-// Parallelism returns the worker-pool bound.
-func (e *Engine) Parallelism() int { return e.workers }
 
 // CacheStats returns a snapshot of this engine's memo-cache traffic.
 func (e *Engine) CacheStats() CacheStats { return e.cache.stats() }
@@ -228,7 +224,8 @@ func (e *Engine) classifyAutomaton(ctx context.Context, a *omega.Automaton) (cor
 	cntClassify.Inc()
 	// Same stage name as the sequential core path: the obs stage taxonomy
 	// stays stable whichever execution layer ran the classification.
-	sp := obs.StartIn(ctx, "classify.automaton").Int("states", a.NumStates()).Int("pairs", a.NumPairs())
+	ctx, sp := obs.Start(ctx, "classify.automaton")
+	sp.Int("states", a.NumStates()).Int("pairs", a.NumPairs())
 	defer sp.End()
 	key := "classify|" + a.StructuralKey()
 	if v, ok := e.cacheGet(key); ok {
@@ -307,7 +304,8 @@ func (e *Engine) compileFormula(ctx context.Context, f ltl.Formula, props []stri
 	cntCompile.Inc()
 	props = resolveProps(f, props)
 	propsKey := strings.Join(props, "\x1f")
-	sp := obs.StartIn(ctx, "compile.formula").Stringer("formula", f)
+	ctx, sp := obs.Start(ctx, "compile.formula")
+	sp.Stringer("formula", f)
 	defer sp.End()
 	key := "compile|" + propsKey + "|" + f.String()
 	if v, ok := e.cacheGet(key); ok {
@@ -318,7 +316,7 @@ func (e *Engine) compileFormula(ctx context.Context, f ltl.Formula, props []stri
 	if err != nil {
 		return nil, err
 	}
-	nf, err := core.Normalize(f)
+	nf, err := core.Normalize(ctx, f)
 	if err != nil {
 		return nil, err
 	}
@@ -353,7 +351,7 @@ func (e *Engine) compileFormula(ctx context.Context, f ltl.Formula, props []stri
 		if err != nil {
 			return nil, err
 		}
-		res = prod.Reduce()
+		res = prod.Reduce(ctx)
 	}
 	sp.Int("states", res.NumStates())
 	e.cachePut(key, res)
@@ -465,9 +463,14 @@ func requestKey(r Request) (string, error) {
 // budget (when caps are configured) and its own recovery boundary, so an
 // item that panics reports an *InternalError at its position while the
 // rest of the batch completes normally.
+//
+// A traced batch is one trace: its "engine.batch" root carries one trace
+// id, and each item's "engine.request" envelope nests under it.
 func (e *Engine) Batch(ctx context.Context, reqs []Request) []Result {
 	cntBatch.Inc()
-	sp := obs.StartIn(ctx, "engine.batch").Int("items", len(reqs))
+	ctx, _ = traced(ctx)
+	ctx, sp := obs.Start(ctx, "engine.batch")
+	sp.Int("items", len(reqs))
 	defer sp.End()
 	results := make([]Result, len(reqs))
 
@@ -522,10 +525,9 @@ func (e *Engine) Batch(ctx context.Context, reqs []Request) []Result {
 
 // runRequest executes one deduplicated Batch item as its own request:
 // the envelope gives the item its own budget — shared by the compile and
-// classify stages — its own traced root span (Batch itself stays outside
-// the per-item envelopes, so per-item slow-op records are individually
-// correlatable), and its own recovery boundary, so an injected or real
-// panic poisons only this item.
+// classify stages — its own "engine.request" span under the batch's, and
+// its own recovery boundary, so an injected or real panic poisons only
+// this item.
 func (e *Engine) runRequest(ctx context.Context, r Request) Result {
 	res, err := serve(e, ctx, "Batch.item", func(ctx context.Context) (Result, error) {
 		if err := fault.Hit(fault.SiteEngineBatch); err != nil {

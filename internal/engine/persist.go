@@ -26,18 +26,12 @@ func WithPersistentStore(path string) Option {
 	return func(e *Engine) { e.storePath = path }
 }
 
-// WithStoreOptions forwards options (sync policy, queue bound) to the
-// store opened by WithPersistentStore.
-func WithStoreOptions(opts ...store.Option) Option {
-	return func(e *Engine) { e.storeOpts = append(e.storeOpts, opts...) }
-}
-
 // openStore is called by New after options are applied.
 func (e *Engine) openStore() {
 	if e.storePath == "" {
 		return
 	}
-	st, err := store.Open(e.storePath, e.storeOpts...)
+	st, err := store.Open(e.storePath)
 	if err != nil {
 		e.storeErr = err
 		return

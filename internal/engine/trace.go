@@ -11,7 +11,7 @@ import (
 // serve runs one exported entry point's request under the engine's
 // request envelope, applying in order: withBudget (a fresh request budget
 // when caps are configured and the caller attached none), startRequest
-// (the traced "engine.request" root span), capture (the recovery boundary
+// (the traced "engine.request" span), capture (the recovery boundary
 // turning a panic into an *InternalError carrying op), the span's
 // cost/outcome stamp, and wrapErr. A failed request returns T's zero
 // value. serve is startRequest's only caller and entries compose the
@@ -37,25 +37,36 @@ func serve[T any](e *Engine, ctx context.Context, op string, fn func(context.Con
 // not allocate a closure.
 var noFinish = func(*error) {}
 
-// startRequest opens the request-scoped observability envelope: it
-// ensures the context carries a TraceID (minting one for requests that
-// arrive without — CLI calls; the daemon mints its own at the HTTP
-// boundary), and starts an "engine.request" root span under which every
-// stage span of the request nests and inherits the trace id. The
-// returned finish must be called with the operation's error address
-// once the request completes; it stamps what the request actually cost
-// — budget states/steps spent — and how it ended (ok, canceled, budget,
-// panic) before closing the span.
-//
-// While no sink is attached and no trace id rides the context the whole
-// envelope is skipped, preserving the obs layer's free-when-off
-// contract for library users.
-func (e *Engine) startRequest(ctx context.Context, op string) (context.Context, func(*error)) {
+// traced reports whether a request is traced — a sink is attached or the
+// caller already attached a trace id — and for a traced request returns
+// ctx carrying a trace id, minting one for requests that arrive without
+// (CLI calls; the daemon mints its own at the HTTP boundary). While no
+// sink is attached and no trace id rides the context, ctx is returned
+// unchanged, preserving the obs layer's free-when-off contract for
+// library users.
+func traced(ctx context.Context) (context.Context, bool) {
 	if !obs.Enabled() && obs.TraceIDFrom(ctx) == "" {
-		return ctx, noFinish
+		return ctx, false
 	}
 	ctx, _ = obs.EnsureTraceID(ctx)
-	sp := obs.StartIn(ctx, "engine.request")
+	return ctx, true
+}
+
+// startRequest opens the request-scoped observability envelope of a
+// traced request: an "engine.request" span, a root unless the context
+// already carries a span (a Batch item's envelope nests under
+// "engine.batch"), under which every stage span of the request nests and
+// inherits the trace id. The returned finish must be called with the
+// operation's error address once the request completes; it stamps what
+// the request actually cost — budget states/steps spent — and how it
+// ended (ok, canceled, budget, panic) before closing the span. An
+// untraced request skips the whole envelope.
+func (e *Engine) startRequest(ctx context.Context, op string) (context.Context, func(*error)) {
+	ctx, ok := traced(ctx)
+	if !ok {
+		return ctx, noFinish
+	}
+	ctx, sp := obs.Start(ctx, "engine.request")
 	sp.Str("op", op)
 	reqCtx := ctx
 	return ctx, func(errp *error) {

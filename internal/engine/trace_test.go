@@ -5,9 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/lang"
@@ -238,8 +242,7 @@ func TestOneEnvelopePerEntry(t *testing.T) {
 				if err := json.Unmarshal([]byte(line), &rec); err != nil {
 					t.Fatalf("bad JSONL line %q: %v", line, err)
 				}
-				// Batch's own span sits outside the per-item envelopes.
-				if rec.Record != "span" || rec.Name == "engine.batch" {
+				if rec.Record != "span" {
 					continue
 				}
 				ids[rec.TraceID] = true
@@ -271,5 +274,135 @@ func TestOneEnvelopePerEntry(t *testing.T) {
 				t.Fatalf("InternalError.Op = %q, want %s", ie.Op, tc.op)
 			}
 		})
+	}
+}
+
+// checkTrees checks that every collected root is a span named root whose
+// whole tree carries the root's trace id, that no further root-named span
+// nests inside a tree, and returns the roots.
+func checkTrees(t *testing.T, c *obs.Collector, root string) []*obs.Span {
+	t.Helper()
+	roots := c.Roots()
+	for _, r := range roots {
+		if r.Name != root {
+			t.Errorf("root span %q, want %s", r.Name, root)
+		}
+		if r.TraceID == "" {
+			t.Errorf("root %q has no trace id", r.Name)
+		}
+		r.Walk(func(sp *obs.Span, depth int) {
+			if depth > 0 && sp.Name == root {
+				t.Errorf("%s nested at depth %d of trace %s", root, depth, r.TraceID)
+			}
+			if sp.TraceID != r.TraceID {
+				t.Errorf("span %q carries trace id %q inside trace %q", sp.Name, sp.TraceID, r.TraceID)
+			}
+		})
+	}
+	return roots
+}
+
+// TestConcurrentClassifyTraces: concurrent traced requests each build
+// their own tree — one engine.request root per call, never nested in
+// another request's tree, every span carrying its own request's id —
+// whether the engine's fan-out runs on one worker or several.
+func TestConcurrentClassifyTraces(t *testing.T) {
+	const calls = 16
+	for _, workers := range []int{1, 2} {
+		c := &obs.Collector{}
+		obs.Attach(c)
+		eng := engine.New(engine.WithParallelism(workers))
+		var wg sync.WaitGroup
+		for i := 0; i < calls; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				f := ltl.MustParse(fmt.Sprintf("G (p%d -> F q) & F G (r | O p%d)", i, i))
+				if _, err := eng.ClassifyFormula(context.Background(), f, nil); err != nil {
+					t.Error(err)
+				}
+			}(i)
+		}
+		wg.Wait()
+		obs.Detach()
+		roots := checkTrees(t, c, "engine.request")
+		ids := map[obs.TraceID]bool{}
+		for _, r := range roots {
+			ids[r.TraceID] = true
+		}
+		if len(roots) != calls || len(ids) != calls {
+			t.Fatalf("workers=%d: %d roots with %d distinct trace ids, want %d each",
+				workers, len(roots), len(ids), calls)
+		}
+	}
+}
+
+// TestConcurrentClauseSpansNest: the clause compilations of one formula
+// fan out to the worker pool, and each clause's compile.past2dfa spans
+// nest under the request's compile.formula, never under a sibling
+// clause's compile.past2dfa.
+func TestConcurrentClauseSpansNest(t *testing.T) {
+	f := ltl.MustParse("G (p -> Y q) & F (q & O p) & G F (p S q) & F G !(q S p)")
+	if nf, err := core.Normalize(context.Background(), f); err != nil || len(nf.Clauses) != 4 {
+		t.Fatalf("fixture has %d clauses (err %v), want 4", len(nf.Clauses), err)
+	}
+	for run := 0; run < 20; run++ {
+		c := &obs.Collector{}
+		obs.Attach(c)
+		_, err := engine.New(engine.WithParallelism(4)).CompileFormula(context.Background(), f, nil)
+		obs.Detach()
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := 0
+		var path []string
+		for _, r := range checkTrees(t, c, "engine.request") {
+			r.Walk(func(sp *obs.Span, depth int) {
+				path = append(path[:depth], sp.Name)
+				if sp.Name != "compile.past2dfa" {
+					return
+				}
+				seen++
+				if !slices.Contains(path[:depth], "compile.formula") || slices.Contains(path[:depth], "compile.past2dfa") {
+					t.Fatalf("run %d: compile.past2dfa under %v", run, path[:depth])
+				}
+			})
+		}
+		if seen == 0 {
+			t.Fatalf("run %d: no compile.past2dfa span", run)
+		}
+	}
+}
+
+// TestBatchIsOneTrace: a traced Batch is one trace — a single
+// engine.batch root whose id every item's engine.request envelope, and
+// every span below it, carries.
+func TestBatchIsOneTrace(t *testing.T) {
+	c := &obs.Collector{}
+	obs.Attach(c)
+	reqs := []engine.Request{
+		{Formula: ltl.MustParse("G p")},
+		{Formula: ltl.MustParse("F q")},
+		{Formula: ltl.MustParse("G F r")},
+	}
+	res := engine.New(engine.WithParallelism(2)).Batch(context.Background(), reqs)
+	obs.Detach()
+	for i, r := range res {
+		if r.Err != nil {
+			t.Fatalf("item %d: %v", i, r.Err)
+		}
+	}
+	roots := checkTrees(t, c, "engine.batch")
+	if len(roots) != 1 {
+		t.Fatalf("got %d roots, want one engine.batch", len(roots))
+	}
+	var items int
+	for _, ch := range roots[0].Children {
+		if ch.Name == "engine.request" {
+			items++
+		}
+	}
+	if items != len(reqs) {
+		t.Fatalf("engine.batch has %d engine.request children, want %d", items, len(reqs))
 	}
 }

@@ -292,8 +292,6 @@ func (e *Evaluator) pastRecurrence(l, r ltl.Formula, conj bool) (seq, error) {
 
 // Holds reports whether the lasso word satisfies the formula at position 0.
 func Holds(f ltl.Formula, w word.Lasso) (bool, error) {
-	sp := obs.Start("eval.holds").Stringer("formula", f).Int("prefix", w.PrefixLen()).Int("loop", w.LoopLen())
-	defer sp.End()
 	cntHoldsChecks.Inc()
 	return NewEvaluator(w).Holds(f)
 }
@@ -313,8 +311,6 @@ func EndSatisfies(p ltl.Formula, w word.Finite) (bool, error) {
 	if !ltl.IsPastFormula(p) {
 		return false, fmt.Errorf("eval: %v is not a past formula", p)
 	}
-	sp := obs.Start("eval.endsat").Stringer("formula", p).Int("length", len(w))
-	defer sp.End()
 	cntEndSatChecks.Inc()
 	vals, err := evalPastForward(p, w)
 	if err != nil {

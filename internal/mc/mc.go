@@ -73,13 +73,14 @@ func Verify(sys *ts.System, f ltl.Formula) (Result, error) {
 	return VerifyCtx(context.Background(), sys, f)
 }
 
-// VerifyCtx is Verify with the caller's context threaded into the root
-// span, so a verification launched inside an engine request inherits its
-// TraceID even when it runs on a worker goroutine. The inner stages
-// (negation, product, search, refinement) nest under this span and
-// inherit the trace implicitly.
+// VerifyCtx is Verify under the caller's context: its "mc.verify" span
+// nests under the span ctx carries, so a verification launched inside an
+// engine request joins that request's trace even when it runs on a
+// worker goroutine. The inner stages (negation, product, search,
+// refinement) nest under "mc.verify".
 func VerifyCtx(ctx context.Context, sys *ts.System, f ltl.Formula) (Result, error) {
-	sp := obs.StartIn(ctx, "mc.verify").Stringer("formula", f).Int("sys_states", sys.NumStates())
+	ctx, sp := obs.Start(ctx, "mc.verify")
+	sp.Stringer("formula", f).Int("sys_states", sys.NumStates())
 	defer sp.End()
 	cntVerifyCalls.Inc()
 	props := unionProps(sys, f)
@@ -130,7 +131,8 @@ func unionProps(sys *ts.System, f ltl.Formula) []string {
 // compilations run under ctx, so they are charged to the request's
 // budget, stop on cancellation and nest under the request's span.
 func negationAutomaton(ctx context.Context, f ltl.Formula, props []string) (*omega.Automaton, error) {
-	sp := obs.StartIn(ctx, "mc.negation").Stringer("formula", f)
+	ctx, sp := obs.Start(ctx, "mc.negation")
+	sp.Stringer("formula", f)
 	defer sp.End()
 	neg, errNeg := core.CompileFormulaCtx(ctx, ltl.Not{F: f}, props)
 	if errNeg == nil {
@@ -196,8 +198,9 @@ func (p *product) node(i int) (s, q int) {
 
 func (p *product) numNodes() int { return len(p.f.Rows()) }
 
-func newProduct(sys *ts.System, aut *omega.Automaton, props []string) (*product, error) {
-	sp := obs.Start("mc.product").Int("sys_states", sys.NumStates()).Int("aut_states", aut.NumStates())
+func newProduct(ctx context.Context, sys *ts.System, aut *omega.Automaton, props []string) (*product, error) {
+	_, sp := obs.Start(ctx, "mc.product")
+	sp.Int("sys_states", sys.NumStates()).Int("aut_states", aut.NumStates())
 	defer sp.End()
 	p := &product{sys: sys, aut: aut}
 	p.f = autkern.NewFrontier(2, fault.SiteMCLazy, lazyMetrics, p.successors)
@@ -253,11 +256,11 @@ func (p *product) in(n int) bool { return p.mark[n] == p.epoch }
 // after materializing a few dozen nodes; the full product is built only
 // when no counterexample exists.
 func searchFairAccepting(ctx context.Context, sys *ts.System, aut *omega.Automaton, props []string) (Trace, bool, error) {
-	p, err := newProduct(sys, aut, props)
+	p, err := newProduct(ctx, sys, aut, props)
 	if err != nil {
 		return Trace{}, false, err
 	}
-	sp := obs.Start("mc.search")
+	ctx, sp := obs.Start(ctx, "mc.search")
 	defer sp.End()
 	waves := 0
 	var closed []int
@@ -270,7 +273,7 @@ func searchFairAccepting(ctx context.Context, sys *ts.System, aut *omega.Automat
 		for i := len(closed); i < p.f.Closed(); i++ {
 			closed = append(closed, i)
 		}
-		comp, need := p.findFairAcceptingSCC(closed)
+		comp, need := p.findFairAcceptingSCC(ctx, closed)
 		if comp == nil && !done {
 			continue
 		}
@@ -299,7 +302,7 @@ func searchFairAccepting(ctx context.Context, sys *ts.System, aut *omega.Automat
 // node order: its roots are tried and its edges followed in the same
 // order as a pass over the whole product restricted to nodes would, so
 // the components, and their completion order, are that pass's.
-func (p *product) findFairAcceptingSCC(nodes []int) ([]int, []int) {
+func (p *product) findFairAcceptingSCC(ctx context.Context, nodes []int) ([]int, []int) {
 	p.members(nodes)
 	rows := p.f.Rows()
 	off, adj := append(p.off[:0], 0), p.adj[:0]
@@ -325,17 +328,18 @@ func (p *product) findFairAcceptingSCC(nodes []int) ([]int, []int) {
 		if len(comp) == 1 && !slices.Contains(rows[comp[0]], comp[0]) {
 			continue // a single node without a self-loop has no cycle
 		}
-		if set, need := p.refine(comp); set != nil {
+		if set, need := p.refine(ctx, comp); set != nil {
 			return set, need
 		}
 	}
 	return nil, nil
 }
 
-func (p *product) refine(comp []int) ([]int, []int) {
+func (p *product) refine(ctx context.Context, comp []int) ([]int, []int) {
 	// One refinement round: record its component size so the shrinking
 	// sequence of candidate sets is visible in traces.
-	sp := obs.Start("mc.refine").Int("component", len(comp))
+	ctx, sp := obs.Start(ctx, "mc.refine")
+	sp.Int("component", len(comp))
 	defer sp.End()
 	cntRefineRounds.Inc()
 	histRefineSizes.Observe(int64(len(comp)))
@@ -428,7 +432,7 @@ func (p *product) refine(comp []int) ([]int, []int) {
 	if len(restrict) == 0 {
 		return nil, nil
 	}
-	return p.findFairAcceptingSCC(restrict)
+	return p.findFairAcceptingSCC(ctx, restrict)
 }
 
 // extractTrace builds a lasso of system states: a path from an initial

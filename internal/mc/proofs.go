@@ -80,7 +80,8 @@ func InvariantCtx(ctx context.Context, sys *ts.System, chi ltl.Formula) (holds b
 	if !ltl.IsStateFormula(chi) {
 		return false, nil, fmt.Errorf("mc: invariant %v is not a state formula", chi)
 	}
-	sp := obs.StartIn(ctx, "mc.invariant").Int("sys_states", sys.NumStates())
+	ctx, sp := obs.Start(ctx, "mc.invariant")
+	sp.Int("sys_states", sys.NumStates())
 	explored := 0
 	defer func() {
 		cntInvariantStates.Add(int64(explored))

@@ -5,20 +5,21 @@
 // JSON-lines exporter with flat, CSV-friendly records).
 //
 // The design goal is that instrumentation is effectively free when no
-// sink is attached: Start performs a single atomic load and returns a
-// nil *Span, and every Span method is a no-op on a nil receiver. Hot
-// paths therefore call obs.Start / span.Int / span.End unconditionally.
-// Attribute helpers take scalar arguments (no variadic []Attr at the
-// call site) so that the disabled path allocates nothing; expensive
-// renderings (formula strings) are deferred with Span.Stringer and only
-// evaluated when a sink consumes the span.
+// sink is attached: Start performs a single atomic load and returns its
+// context unchanged with a nil *Span, and every Span method is a no-op on
+// a nil receiver. Hot paths therefore call obs.Start / span.Int /
+// span.End unconditionally. Attribute helpers take scalar arguments (no
+// variadic []Attr at the call site) so that the disabled path allocates
+// nothing; expensive renderings (formula strings) are deferred with
+// Span.Stringer and only evaluated when a sink consumes the span.
 //
-// Spans nest implicitly: Start parents the new span under the most
-// recently started, not-yet-ended span of the process-wide tracer, which
-// matches the synchronous, single-goroutine pipeline (formula →
-// automaton → product → classification / fair-SCC search). Context
-// helpers (WithSpan, FromContext, StartCtx) are provided for callers
-// that already thread a context.Context.
+// The context is the only carrier of the parent span: Start parents the
+// new span under the span in its ctx and returns a context carrying the
+// new one, which the caller passes to the calls the span wraps. Each
+// request, and each goroutine a request fans out to, therefore builds
+// its own subtree, with no process-wide state beyond the attached sinks.
+// Siblings may end concurrently; each appends itself to its parent under
+// the parent's lock.
 package obs
 
 import (
@@ -62,7 +63,8 @@ type Span struct {
 	Children []*Span
 
 	parent *Span
-	st     *state
+	mu     sync.Mutex // guards Children: siblings may end concurrently
+	sinks  []Sink     // a root's delivery targets, captured at Start
 }
 
 // Int attaches an integer attribute; returns the span for chaining.
@@ -125,26 +127,29 @@ func (s *Span) Attr(key string) (any, bool) {
 	return nil, false
 }
 
-// End closes the span, records its duration, and delivers it — to its
-// parent while one is open, otherwise to the attached sinks as the root
-// of a finished span tree.
+// End closes the span, records its duration, and delivers it: a child
+// appends itself to its parent's Children, a root hands its finished tree
+// to the sinks attached when it started. A child must end before its
+// parent, as it does when every span's End is deferred in the function
+// that started it.
 func (s *Span) End() {
 	if s == nil {
 		return
 	}
 	s.Duration = time.Since(s.Began)
-	s.st.finish(s)
+	if p := s.parent; p != nil {
+		p.mu.Lock()
+		p.Children = append(p.Children, s)
+		p.mu.Unlock()
+		return
+	}
+	for _, sink := range s.sinks {
+		sink.RootEnded(s)
+	}
 }
 
-// state is the process-wide tracer: the open-span stack plus the sinks.
-// It exists only while a sink is attached.
-type state struct {
-	mu    sync.Mutex
-	stack []*Span
-	sinks []Sink
-}
-
-var active atomic.Pointer[state]
+// active holds the attached sinks; nil while span collection is off.
+var active atomic.Pointer[[]Sink]
 
 // Enabled reports whether a sink is attached. Instrumented code does not
 // need it (nil spans are no-ops); it is for guarding expensive attribute
@@ -158,62 +163,33 @@ func Attach(sinks ...Sink) {
 		Detach()
 		return
 	}
-	active.Store(&state{sinks: sinks})
+	active.Store(&sinks)
 }
 
-// Detach disables span collection. Spans still open keep a reference to
-// the old state and drain into its sinks when ended.
+// Detach disables span collection. Roots still open keep the sinks they
+// started under and drain into them when ended.
 func Detach() { active.Store(nil) }
 
-// Start opens a span as a child of the most recently started open span
-// (or as a root). While no sink is attached it returns nil, a valid
-// no-op span, after a single atomic load.
-func Start(name string) *Span {
-	st := active.Load()
-	if st == nil {
-		return nil
-	}
-	return st.start(name, "")
-}
+// spanKey carries the open *Span in a context.Context.
+type spanKey struct{}
 
-// start opens a span stamped with id, or with the parent's trace id when
-// id is empty. The id is fixed before the span is pushed: once on the
-// stack the span is visible to concurrent Start calls, which read its
-// TraceID as their parent's.
-func (st *state) start(name string, id TraceID) *Span {
-	s := &Span{Name: name, Began: time.Now(), st: st, TraceID: id}
-	st.mu.Lock()
-	if n := len(st.stack); n > 0 {
-		s.parent = st.stack[n-1]
-		if s.TraceID == "" {
-			s.TraceID = s.parent.TraceID
-		}
+// Start opens a span whose parent is the span carried by ctx, and
+// returns a context carrying the new span for the calls it wraps. The
+// span inherits its parent's trace id; a root takes the id of ctx (see
+// WithTraceID). While no sink is attached it returns ctx and a nil,
+// no-op span after a single atomic load, allocating nothing.
+func Start(ctx context.Context, name string) (context.Context, *Span) {
+	sinks := active.Load()
+	if sinks == nil {
+		return ctx, nil
 	}
-	st.stack = append(st.stack, s)
-	st.mu.Unlock()
-	return s
-}
-
-func (st *state) finish(s *Span) {
-	st.mu.Lock()
-	// Pop s; spans left open above it (early returns that skipped End)
-	// are abandoned with it rather than corrupting the stack.
-	for i := len(st.stack) - 1; i >= 0; i-- {
-		if st.stack[i] == s {
-			st.stack = st.stack[:i]
-			break
-		}
+	s := &Span{Name: name, Began: time.Now()}
+	if p, _ := ctx.Value(spanKey{}).(*Span); p != nil {
+		s.parent, s.TraceID = p, p.TraceID
+	} else {
+		s.TraceID, s.sinks = TraceIDFrom(ctx), *sinks
 	}
-	if s.parent != nil {
-		s.parent.Children = append(s.parent.Children, s)
-		st.mu.Unlock()
-		return
-	}
-	sinks := st.sinks
-	st.mu.Unlock()
-	for _, sink := range sinks {
-		sink.RootEnded(s)
-	}
+	return context.WithValue(ctx, spanKey{}, s), s
 }
 
 // Walk visits the span and every descendant depth-first, reporting each
@@ -230,42 +206,4 @@ func (s *Span) Walk(visit func(sp *Span, depth int)) {
 		}
 	}
 	rec(s, 0)
-}
-
-// ctxKey carries a *Span in a context.Context.
-type ctxKey struct{}
-
-// WithSpan returns a context carrying the span.
-func WithSpan(ctx context.Context, s *Span) context.Context {
-	if s == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, ctxKey{}, s)
-}
-
-// FromContext returns the span carried by the context, or nil.
-func FromContext(ctx context.Context) *Span {
-	s, _ := ctx.Value(ctxKey{}).(*Span)
-	return s
-}
-
-// StartIn starts a span like Start and stamps it with the context's
-// trace id. The implicit-stack parenting already propagates trace ids on
-// the synchronous path; StartIn is for sites reached from worker
-// goroutines, where the stack top may belong to a different concurrent
-// request — the context is the authoritative carrier there.
-func StartIn(ctx context.Context, name string) *Span {
-	st := active.Load()
-	if st == nil {
-		return nil
-	}
-	return st.start(name, TraceIDFrom(ctx))
-}
-
-// StartCtx starts a span (stamped with the context's trace id, as
-// StartIn) and returns a derived context carrying it, for call chains
-// that already propagate a context.
-func StartCtx(ctx context.Context, name string) (context.Context, *Span) {
-	s := StartIn(ctx, name)
-	return WithSpan(ctx, s), s
 }

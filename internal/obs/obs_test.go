@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -22,9 +23,10 @@ func withCollector(t *testing.T) *Collector {
 
 func TestDisabledSpanIsNoOp(t *testing.T) {
 	Detach()
-	sp := Start("noop")
-	if sp != nil {
-		t.Fatalf("Start with no sink = %v, want nil", sp)
+	ctx := context.Background()
+	ctx2, sp := Start(ctx, "noop")
+	if sp != nil || ctx2 != ctx {
+		t.Fatalf("Start with no sink = (%v, %v), want the original context and nil", ctx2, sp)
 	}
 	// Every method must be safe on the nil span.
 	sp.Int("k", 1).Str("s", "v").Bool("b", true).Int64("i", 2)
@@ -38,23 +40,24 @@ func TestDisabledSpanIsNoOp(t *testing.T) {
 	}
 }
 
-// TestSpanTreeNestsRecursive is the regression test for implicit
+// TestSpanTreeNestsRecursive is the regression test for context
 // parenting: spans opened by recursive calls must form a chain, and
 // siblings opened after a child ends must attach to the same parent.
 func TestSpanTreeNestsRecursive(t *testing.T) {
 	c := withCollector(t)
 
-	var recurse func(depth int)
-	recurse = func(depth int) {
-		sp := Start("rec").Int("depth", depth)
+	var recurse func(ctx context.Context, depth int)
+	recurse = func(ctx context.Context, depth int) {
+		ctx, sp := Start(ctx, "rec")
+		sp.Int("depth", depth)
 		if depth > 0 {
-			recurse(depth - 1)
-			recurse(depth - 1)
+			recurse(ctx, depth-1)
+			recurse(ctx, depth-1)
 		}
 		sp.End()
 	}
-	root := Start("root")
-	recurse(2)
+	ctx, root := Start(context.Background(), "root")
+	recurse(ctx, 2)
 	root.End()
 
 	roots := c.Roots()
@@ -98,37 +101,92 @@ func TestSpanTreeNestsRecursive(t *testing.T) {
 	}
 }
 
-func TestUnbalancedEndDoesNotCorruptStack(t *testing.T) {
+// TestConcurrentSiblingsNestUnderTheirParent: children started from one
+// parent's context on many goroutines all attach to that parent, each
+// with its own subtree, and a concurrent unrelated root stays separate.
+func TestConcurrentSiblingsNestUnderTheirParent(t *testing.T) {
 	c := withCollector(t)
-	outer := Start("outer")
-	_ = Start("leaked") // never ended explicitly
-	outer.End()         // must pop the leaked span too
-	after := Start("after")
+	const workers = 8
+	ctx, parent := Start(WithTraceID(context.Background(), "0123456789abcdef"), "parent")
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cctx, child := Start(ctx, "child")
+			_, grand := Start(cctx, "grandchild")
+			grand.End()
+			child.End()
+			_, other := Start(context.Background(), "other")
+			other.End()
+		}()
+	}
+	wg.Wait()
+	parent.End()
+
+	var trees int
+	for _, r := range c.Roots() {
+		switch r.Name {
+		case "other":
+			if len(r.Children) != 0 || r.TraceID != "" {
+				t.Errorf("unrelated root picked up children or a trace id: %+v", r)
+			}
+		case "parent":
+			trees++
+			if len(r.Children) != workers {
+				t.Fatalf("parent has %d children, want %d", len(r.Children), workers)
+			}
+			r.Walk(func(sp *Span, depth int) {
+				if sp.TraceID != "0123456789abcdef" {
+					t.Errorf("span %q at depth %d has trace id %q", sp.Name, depth, sp.TraceID)
+				}
+				if depth == 1 && (sp.Name != "child" || len(sp.Children) != 1) {
+					t.Errorf("depth-1 span %q with %d children, want child/1", sp.Name, len(sp.Children))
+				}
+			})
+		default:
+			t.Errorf("unexpected root %q", r.Name)
+		}
+	}
+	if trees != 1 {
+		t.Fatalf("got %d parent trees, want 1", trees)
+	}
+}
+
+// TestLeakedSpanDoesNotParentLaterSpans: a span that is never ended is
+// dropped with its parent's context; spans started afterwards from
+// another context are unaffected.
+func TestLeakedSpanDoesNotParentLaterSpans(t *testing.T) {
+	c := withCollector(t)
+	ctx, outer := Start(context.Background(), "outer")
+	_, _ = Start(ctx, "leaked") // never ended
+	outer.End()
+	_, after := Start(context.Background(), "after")
 	after.End()
 	roots := c.Roots()
 	if len(roots) != 2 || roots[0].Name != "outer" || roots[1].Name != "after" {
 		t.Fatalf("roots = %v", roots)
 	}
-	if len(roots[1].Children) != 0 {
-		t.Error("span after unbalanced End inherited a stale parent")
+	if len(roots[0].Children) != 0 || len(roots[1].Children) != 0 {
+		t.Error("a leaked span reached a tree")
 	}
 }
 
 func TestContextCarriesSpan(t *testing.T) {
 	withCollector(t)
 	ctx := context.Background()
-	if FromContext(ctx) != nil {
+	if ctx.Value(spanKey{}) != nil {
 		t.Fatal("empty context carried a span")
 	}
-	ctx2, sp := StartCtx(ctx, "ctxspan")
-	if FromContext(ctx2) != sp || sp == nil {
-		t.Fatal("StartCtx did not thread the span")
+	ctx2, sp := Start(ctx, "ctxspan")
+	if ctx2.Value(spanKey{}) != sp || sp == nil {
+		t.Fatal("Start did not thread the span")
 	}
 	sp.End()
 	Detach()
-	ctx3, nilSp := StartCtx(ctx, "disabled")
+	ctx3, nilSp := Start(ctx, "disabled")
 	if nilSp != nil || ctx3 != ctx {
-		t.Fatal("disabled StartCtx must return the original context and nil span")
+		t.Fatal("disabled Start must return the original context and nil span")
 	}
 }
 
@@ -137,7 +195,8 @@ func TestCollectorCapAndFind(t *testing.T) {
 	Attach(c)
 	t.Cleanup(Detach)
 	for i := 0; i < 5; i++ {
-		Start("burst").Int("i", i).End()
+		_, sp := Start(context.Background(), "burst")
+		sp.Int("i", i).End()
 	}
 	if got := len(c.Roots()); got != 2 {
 		t.Fatalf("kept %d roots, want 2", got)
@@ -214,8 +273,10 @@ func TestWriteTreeAndSummary(t *testing.T) {
 	summary := NewStageSummary()
 	Attach(c, summary)
 
-	outer := Start("stage.outer").Int("states", 42)
-	Start("stage.inner").End()
+	ctx, outer := Start(context.Background(), "stage.outer")
+	outer.Int("states", 42)
+	_, inner := Start(ctx, "stage.inner")
+	inner.End()
 	outer.End()
 
 	var buf bytes.Buffer
@@ -240,8 +301,10 @@ func TestJSONLSink(t *testing.T) {
 	Attach(j)
 	t.Cleanup(Detach)
 
-	parent := Start("jsonl.parent").Int("states", 3).Str("kind", "test")
-	Start("jsonl.child").End()
+	ctx, parent := Start(context.Background(), "jsonl.parent")
+	parent.Int("states", 3).Str("kind", "test")
+	_, child := Start(ctx, "jsonl.child")
+	child.End()
 	parent.End()
 	NewCounter("jsonl.counter").Add(9)
 	if err := j.WriteMetrics(); err != nil {
@@ -301,7 +364,8 @@ func TestSetupStatsAndTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := Start("setup.work").Int("states", 2)
+	_, sp := Start(context.Background(), "setup.work")
+	sp.Int("states", 2)
 	NewCounter("setup.counter").Inc()
 	sp.End()
 	if err := finish(); err != nil {

@@ -92,7 +92,7 @@ func (c *Collector) Tree() string {
 // WriteTree renders span trees as an indented, duration-annotated list:
 //
 //	classify.automaton              152µs  states=6 pairs=2
-//	  omega.livestates               41µs  states=6
+//	  classify.safety                41µs  safety=true
 func WriteTree(w io.Writer, roots []*Span) {
 	for _, r := range roots {
 		r.Walk(func(sp *Span, depth int) {

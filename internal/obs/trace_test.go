@@ -49,8 +49,8 @@ func TestTraceIDContext(t *testing.T) {
 	}
 }
 
-// TestSpanTraceIDInheritance: a root span stamped via StartIn hands its
-// trace id to implicitly nested children, and the JSONL records carry it.
+// TestSpanTraceIDInheritance: a root span stamped with its context's
+// trace id hands it to nested children, and the JSONL records carry it.
 func TestSpanTraceIDInheritance(t *testing.T) {
 	var buf bytes.Buffer
 	jsonl := NewJSONLSink(&buf)
@@ -58,9 +58,9 @@ func TestSpanTraceIDInheritance(t *testing.T) {
 	defer Detach()
 
 	ctx := WithTraceID(context.Background(), "feedfacecafebeef")
-	root := StartIn(ctx, "req.root")
-	child := Start("req.child")
-	grand := Start("req.grandchild")
+	ctx, root := Start(ctx, "req.root")
+	ctx, child := Start(ctx, "req.child")
+	_, grand := Start(ctx, "req.grandchild")
 	grand.End()
 	child.End()
 	root.End()
@@ -84,13 +84,14 @@ func TestSpanTraceIDInheritance(t *testing.T) {
 	}
 }
 
-func TestStartCtxStampsOverInheritance(t *testing.T) {
+func TestRootTakesContextTraceID(t *testing.T) {
 	Attach(&Collector{})
 	defer Detach()
-	// A span started from a context with its own trace id must prefer the
-	// context's id over the stack parent's (concurrent-request case).
-	outer := StartIn(WithTraceID(context.Background(), "aaaaaaaaaaaaaaaa"), "outer")
-	_, inner := StartCtx(WithTraceID(context.Background(), "bbbbbbbbbbbbbbbb"), "inner")
+	// A span started from a context with its own trace id and no span is
+	// a root with the context's id, even while another request's span is
+	// open (concurrent-request case).
+	_, outer := Start(WithTraceID(context.Background(), "aaaaaaaaaaaaaaaa"), "outer")
+	_, inner := Start(WithTraceID(context.Background(), "bbbbbbbbbbbbbbbb"), "inner")
 	if inner.TraceID != "bbbbbbbbbbbbbbbb" {
 		t.Errorf("inner trace id = %q, want the context's", inner.TraceID)
 	}
@@ -105,8 +106,9 @@ func TestSlowOpSink(t *testing.T) {
 	defer Detach()
 
 	ctx := WithTraceID(context.Background(), "deadbeefdeadbeef")
-	root := StartIn(ctx, "req.slow").Int("states", 7)
-	fast := Start("req.fast")
+	ctx, root := Start(ctx, "req.slow")
+	root.Int("states", 7)
+	_, fast := Start(ctx, "req.fast")
 	fast.End() // well under threshold
 	time.Sleep(20 * time.Millisecond)
 	root.End()
@@ -154,7 +156,8 @@ func TestJSONLSinkCloseFlushesAndSyncs(t *testing.T) {
 	jsonl := NewJSONLSink(f)
 
 	Attach(jsonl)
-	Start("close.work").End()
+	_, sp := Start(context.Background(), "close.work")
+	sp.End()
 	Detach()
 
 	if err := jsonl.Close(); err != nil {

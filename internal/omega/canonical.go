@@ -125,7 +125,8 @@ func (a *Automaton) ToSafetyAutomaton() (*Automaton, error) {
 // ToSafetyAutomatonCtx is ToSafetyAutomaton with cooperative cancellation
 // threaded into the verifying equivalence check.
 func (a *Automaton) ToSafetyAutomatonCtx(ctx context.Context) (*Automaton, error) {
-	sp := obs.StartIn(ctx, "omega.canonical.safety").Int("in_states", a.NumStates())
+	ctx, sp := obs.Start(ctx, "omega.canonical.safety")
+	sp.Int("in_states", a.NumStates())
 	defer sp.End()
 	candidate := a.SafetyClosure().Trim()
 	sp.Int("states", candidate.NumStates())
@@ -150,7 +151,8 @@ func (a *Automaton) ToGuaranteeAutomaton() (*Automaton, error) {
 // ToGuaranteeAutomatonCtx is ToGuaranteeAutomaton with cooperative
 // cancellation threaded into the verifying equivalence check.
 func (a *Automaton) ToGuaranteeAutomatonCtx(ctx context.Context) (*Automaton, error) {
-	sp := obs.StartIn(ctx, "omega.canonical.guarantee").Int("in_states", a.NumStates())
+	ctx, sp := obs.Start(ctx, "omega.canonical.guarantee")
+	sp.Int("in_states", a.NumStates())
 	defer sp.End()
 	candidate := a.Interior()
 	sp.Int("states", candidate.NumStates())
@@ -178,7 +180,8 @@ func (a *Automaton) ToRecurrenceAutomaton() (*Automaton, error) {
 // ToRecurrenceAutomatonCtx is ToRecurrenceAutomaton with cooperative
 // cancellation threaded into the verifying equivalence check.
 func (a *Automaton) ToRecurrenceAutomatonCtx(ctx context.Context) (*Automaton, error) {
-	sp := obs.StartIn(ctx, "omega.canonical.recurrence").Int("in_states", a.NumStates()).Int("in_pairs", len(a.pairs))
+	ctx, sp := obs.Start(ctx, "omega.canonical.recurrence")
+	sp.Int("in_states", a.NumStates()).Int("in_pairs", len(a.pairs))
 	defer sp.End()
 	n := a.NumStates()
 	// Per pair: R_i' = R_i ∪ {states of accepting cycles avoiding R_i}.
@@ -277,7 +280,8 @@ func (a *Automaton) ToPersistenceAutomaton() (*Automaton, error) {
 // ToPersistenceAutomatonCtx is ToPersistenceAutomaton with cooperative
 // cancellation threaded into the verifying equivalence check.
 func (a *Automaton) ToPersistenceAutomatonCtx(ctx context.Context) (*Automaton, error) {
-	sp := obs.StartIn(ctx, "omega.canonical.persistence").Int("in_states", a.NumStates())
+	ctx, sp := obs.Start(ctx, "omega.canonical.persistence")
+	sp.Int("in_states", a.NumStates())
 	defer sp.End()
 	n := a.NumStates()
 	all := make([]bool, n)

@@ -9,7 +9,10 @@ import (
 	"repro/internal/word"
 )
 
-var cntEmptinessChecks = obs.NewCounter("omega.emptiness.checks")
+var (
+	cntEmptinessChecks = obs.NewCounter("omega.emptiness.checks")
+	cntLiveStates      = obs.NewCounter("omega.livestates.calls")
+)
 
 // acceptsCycleSet reports whether a run whose infinity set is exactly the
 // given set would be accepted — i.e. whether the set belongs to the
@@ -130,8 +133,6 @@ func (a *Automaton) IsEmpty() bool {
 // if the language is empty. The witness realizes inf(r) equal to an
 // accepting strongly connected set.
 func (a *Automaton) WitnessLasso() (word.Lasso, bool) {
-	sp := obs.Start("omega.emptiness").Int("states", a.NumStates()).Int("pairs", len(a.pairs))
-	defer sp.End()
 	cntEmptinessChecks.Inc()
 	comp := a.findAcceptingSCC(a.kern.Reachable())
 	if comp == nil {
@@ -159,8 +160,7 @@ func (a *Automaton) NonEmptyFrom(q int) bool {
 // from that state. Dead states are closed under transitions: every
 // successor of a dead state is dead.
 func (a *Automaton) LiveStates() []bool {
-	sp := obs.Start("omega.livestates").Int("states", a.NumStates())
-	defer sp.End()
+	cntLiveStates.Inc()
 	live := make([]bool, a.NumStates())
 	// Every state inside some accepting SCC is live; then propagate
 	// backwards over the kernel's cached reverse adjacency: a state with

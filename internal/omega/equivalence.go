@@ -53,7 +53,8 @@ func (a *Automaton) ContainsEagerCtx(ctx context.Context, b *Automaton) (bool, w
 	if !a.alpha.Equal(b.alpha) {
 		return false, word.Lasso{}, errAlphabetMismatch("containment", a.alpha, b.alpha)
 	}
-	sp := obs.StartIn(ctx, "omega.contains.eager").Int("left_states", a.NumStates()).Int("right_states", b.NumStates())
+	ctx, sp := obs.Start(ctx, "omega.contains.eager")
+	sp.Int("left_states", a.NumStates()).Int("right_states", b.NumStates())
 	defer sp.End()
 	// Build the product structure with both pair lists lifted.
 	prod, err := a.IntersectCtx(ctx, b)

@@ -1,6 +1,7 @@
 package omega
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/alphabet"
@@ -118,7 +119,7 @@ func TestLabelsSurviveToSafetyAutomaton(t *testing.T) {
 // the numeric form.
 func TestLabelsIntentionallyDroppedByReduce(t *testing.T) {
 	a := labeledFixture(t)
-	red := a.Reduce()
+	red := a.Reduce(context.Background())
 	for q := 0; q < red.NumStates(); q++ {
 		if got, want := red.Label(q), "q"+itoa(q); got != want {
 			t.Errorf("Reduce: Label(%d) = %q, want fallback %q", q, got, want)

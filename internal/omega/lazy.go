@@ -31,8 +31,8 @@ func (a *Automaton) lazyContainsCtx(ctx context.Context, b *Automaton, firstWave
 	if !a.alpha.Equal(b.alpha) {
 		return false, word.Lasso{}, errAlphabetMismatch("containment", a.alpha, b.alpha)
 	}
-	sp := obs.StartIn(ctx, "omega.contains").
-		Int("left_states", a.NumStates()).Int("right_states", b.NumStates())
+	ctx, sp := obs.Start(ctx, "omega.contains")
+	sp.Int("left_states", a.NumStates()).Int("right_states", b.NumStates())
 	defer sp.End()
 	ex, err := NewProductExplorer(a, b)
 	if err != nil {
@@ -128,7 +128,8 @@ func lazyIntersectWitnessCtx(ctx context.Context, autos []*Automaton, firstWave 
 	if err != nil {
 		return word.Lasso{}, false, err
 	}
-	sp := obs.StartIn(ctx, "omega.emptiness.lazy").Int("factors", len(autos))
+	ctx, sp := obs.Start(ctx, "omega.emptiness.lazy")
+	sp.Int("factors", len(autos))
 	defer sp.End()
 	cntEmptinessChecks.Inc()
 	waves := 0

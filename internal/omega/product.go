@@ -31,9 +31,8 @@ func (a *Automaton) IntersectCtx(ctx context.Context, b *Automaton) (*Automaton,
 	if !a.alpha.Equal(b.alpha) {
 		return nil, fmt.Errorf("omega: product over different alphabets %v and %v", a.alpha, b.alpha)
 	}
-	sp := obs.StartIn(ctx, "omega.product").
-		Int("left_states", a.NumStates()).Int("right_states", b.NumStates()).
-		Int("alphabet", a.alpha.Size())
+	ctx, sp := obs.Start(ctx, "omega.product")
+	sp.Int("left_states", a.NumStates()).Int("right_states", b.NumStates()).Int("alphabet", a.alpha.Size())
 	defer sp.End()
 	k := a.alpha.Size()
 	in := autkern.NewPairInterner()

@@ -1,6 +1,8 @@
 package omega
 
 import (
+	"context"
+
 	"repro/internal/autkern"
 	"repro/internal/obs"
 )
@@ -15,8 +17,10 @@ import (
 //
 // Reduce never changes the number of pairs; combine with the canonical
 // constructions (ToRecurrenceAutomaton etc.) for stronger normalization.
-func (a *Automaton) Reduce() *Automaton {
-	sp := obs.Start("omega.reduce").Int("in_states", a.NumStates())
+// Its "omega.reduce" span nests under the span ctx carries.
+func (a *Automaton) Reduce(ctx context.Context) *Automaton {
+	_, sp := obs.Start(ctx, "omega.reduce")
+	sp.Int("in_states", a.NumStates())
 	defer sp.End()
 	t := a.Trim()
 	n := t.NumStates()

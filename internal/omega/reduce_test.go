@@ -1,6 +1,7 @@
 package omega_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -13,7 +14,7 @@ func TestReducePreservesLanguage(t *testing.T) {
 	rng := rand.New(rand.NewSource(85))
 	for i := 0; i < 40; i++ {
 		a := gen.RandomStreett(rng, ab, 3+rng.Intn(6), 1+rng.Intn(2), 0.3, 0.4)
-		r := a.Reduce()
+		r := a.Reduce(context.Background())
 		if r.NumStates() > a.NumStates() {
 			t.Fatalf("Reduce grew the automaton: %d -> %d", a.NumStates(), r.NumStates())
 		}
@@ -50,7 +51,7 @@ func TestReduceMergesDuplicates(t *testing.T) {
 		pair.P[q], pair.P[q+n] = pBase[q], pBase[q]
 	}
 	doubled := omega.MustNew(base.Alphabet(), trans, base.Start(), []omega.Pair{pair})
-	reduced := doubled.Reduce()
+	reduced := doubled.Reduce(context.Background())
 	if reduced.NumStates() != n {
 		t.Errorf("doubled automaton reduced to %d states, want %d", reduced.NumStates(), n)
 	}
@@ -67,8 +68,8 @@ func TestReduceIdempotent(t *testing.T) {
 	rng := rand.New(rand.NewSource(87))
 	for i := 0; i < 20; i++ {
 		a := gen.RandomStreett(rng, ab, 3+rng.Intn(5), 1, 0.3, 0.4)
-		once := a.Reduce()
-		twice := once.Reduce()
+		once := a.Reduce(context.Background())
+		twice := once.Reduce(context.Background())
 		if once.NumStates() != twice.NumStates() {
 			t.Fatalf("Reduce not idempotent: %d -> %d", once.NumStates(), twice.NumStates())
 		}

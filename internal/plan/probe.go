@@ -45,7 +45,8 @@ type Probe struct {
 // — live/co-live regions and one pass over the SCC decomposition — and
 // is charged to the context's budget like any other analysis.
 func ProbeAutomaton(ctx context.Context, a *omega.Automaton) (Probe, error) {
-	sp := obs.StartIn(ctx, "plan.probe").Int("states", a.NumStates())
+	ctx, sp := obs.Start(ctx, "plan.probe")
+	sp.Int("states", a.NumStates())
 	defer sp.End()
 	if err := budget.Poll(ctx, 1); err != nil {
 		return Probe{}, err

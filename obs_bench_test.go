@@ -11,6 +11,7 @@ package temporal_test
 // not allocate, so instrumentation can stay on in the hot paths.
 
 import (
+	"context"
 	"flag"
 	"net/http"
 	_ "net/http/pprof"
@@ -59,10 +60,11 @@ func BenchmarkObsDisabledSpan(b *testing.B) {
 	if obs.Enabled() {
 		b.Skip("a sink is attached; disabled-path benchmark not meaningful")
 	}
+	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sp := obs.Start("bench.obs.span").Int("i", i).Str("k", "v")
-		sp.End()
+		_, sp := obs.Start(ctx, "bench.obs.span")
+		sp.Int("i", i).Str("k", "v").End()
 	}
 }
 
@@ -83,11 +85,12 @@ func BenchmarkObsEnabledSpan(b *testing.B) {
 	}
 	obs.Attach(obs.NewStageSummary())
 	defer obs.Detach()
+	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sp := obs.Start("bench.obs.span").Int("i", i).Str("k", "v")
-		sp.End()
+		_, sp := obs.Start(ctx, "bench.obs.span")
+		sp.Int("i", i).Str("k", "v").End()
 	}
 }
 
@@ -105,11 +108,12 @@ func TestObsDisabledSpanOverhead(t *testing.T) {
 	if obs.Enabled() {
 		t.Skip("a sink is attached")
 	}
+	ctx := context.Background()
 	res := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			sp := obs.Start("bench.obs.span").Int("i", i).Str("k", "v")
-			sp.End()
+			_, sp := obs.Start(ctx, "bench.obs.span")
+			sp.Int("i", i).Str("k", "v").End()
 		}
 	})
 	if allocs := res.AllocsPerOp(); allocs != 0 {

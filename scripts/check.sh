@@ -24,16 +24,27 @@ go vet -copylocks -structtag ./internal/engine/ .
 echo "== go test -race =="
 go test -race ./...
 
+# perfbench is a nested module (replace repro => ../), so the root
+# ./... patterns above skip it. It imports engine, eval, obs, ts and
+# other internal packages; vet and test it here so an internal API
+# change that breaks the benchmark runner fails this gate, not the
+# benchmark pipeline.
+echo "== perfbench (nested module: vet, test) =="
+(cd perfbench && go vet ./... && go test ./...)
+
 # Schedule-independence gate: the jobs-sweep differentials compare the
 # sharded parallel search at several worker counts and perturbed
 # schedules against the sequential oracle — verdicts, witness lassos and
-# state counts must be bit-identical. They already ran (at full size)
-# inside the -race suite above; this named quick pass documents the
-# contract and keeps a fast dedicated entry point for it.
+# state counts must be bit-identical. The concurrent trace tests hold
+# span trees to the same standard: concurrent requests, and one
+# request's own fan-out, must each build their own tree. They already
+# ran (at full size) inside the -race suite above; this named quick pass
+# documents the contract and keeps a fast dedicated entry point for it.
 echo "== schedule-independence (jobs sweep, -race, quick) =="
 go test -race -short -count=1 \
-    -run 'ScheduleIndependence|Parallel|Concurrent' \
-    ./internal/omega/ ./internal/mc/ ./internal/engine/ ./internal/autkern/
+    -run 'ScheduleIndependence|Parallel|Concurrent|TraceJSONL' \
+    ./internal/omega/ ./internal/mc/ ./internal/engine/ ./internal/autkern/ \
+    ./internal/obs/ ./cmd/temporald/
 
 # Coverage floors on the two packages carrying the paper's decision
 # procedures. The floors sit ~5 points under the measured coverage at

@@ -161,7 +161,7 @@ func ClassifyAutomaton(a *Automaton) Classification {
 func SyntacticClass(f Formula) (Class, NormalForm, error) { return core.SyntacticClass(f) }
 
 // Normalize rewrites a formula into the paper's conjunctive normal form.
-func Normalize(f Formula) (NormalForm, error) { return core.Normalize(f) }
+func Normalize(f Formula) (NormalForm, error) { return core.Normalize(context.Background(), f) }
 
 // CompileFormula builds a deterministic Streett automaton for the formula
 // over the valuation alphabet of its propositions (Prop. 5.3). It is the
@@ -359,7 +359,7 @@ func BuildPattern(spec PatternSpec) (Formula, error) { return patterns.Build(spe
 func PatternCatalog() []PatternEntry { return patterns.Catalog() }
 
 // ReduceAutomaton quotients bisimilar states (language-preserving).
-func ReduceAutomaton(a *Automaton) *Automaton { return a.Reduce() }
+func ReduceAutomaton(a *Automaton) *Automaton { return a.Reduce(context.Background()) }
 
 // ResponseCertificate is a machine-checkable chain-rule proof of a
 // response property under justice (the paper's explicit-induction
