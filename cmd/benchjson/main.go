@@ -28,6 +28,11 @@
 //     jitter), so it runs even at -benchtime=1x; the ns gate is only
 //     meaningful on real benchtimes. Pass -lazy-gate "" to disable.
 //
+// Every snapshot records the host it was taken on — CPU count,
+// GOMAXPROCS of the benchmark run, Go version and the `cpu:` line of the
+// go test output — and, per -skip-gate flag, each gate the calling script
+// skipped and why, so snapshots are compared only like-for-like.
+//
 // Exit status 1 on any gate violation, with one diagnostic per line on
 // stderr.
 package main
@@ -41,6 +46,7 @@ import (
 	"math"
 	"os"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -55,33 +61,54 @@ type Benchmark struct {
 	StatesPerOp float64 `json:"states_per_op,omitempty"`
 }
 
+// Host describes the machine and toolchain a snapshot was taken with.
+type Host struct {
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+	CPU        string `json:"cpu,omitempty"`
+}
+
 // Snapshot is the JSON document benchjson reads and writes.
 type Snapshot struct {
-	PR         string      `json:"pr"`
-	Benchmarks []Benchmark `json:"benchmarks"`
+	PR           string      `json:"pr"`
+	Host         *Host       `json:"host,omitempty"`
+	SkippedGates []string    `json:"skipped_gates,omitempty"`
+	Benchmarks   []Benchmark `json:"benchmarks"`
 }
+
+// listFlag collects the values of a repeatable string flag.
+type listFlag []string
+
+func (l *listFlag) String() string     { return strings.Join(*l, "; ") }
+func (l *listFlag) Set(v string) error { *l = append(*l, v); return nil }
 
 var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+\d+\s+(.*)$`)
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	pr := flag.String("pr", "", "PR label recorded in the snapshot")
-	in := flag.String("i", "", "input file with go test -bench output (default stdin)")
-	out := flag.String("o", "", "write the JSON snapshot here (default stdout)")
-	compare := flag.String("compare", "", "previous snapshot to gate ns/op regressions against")
-	tolerance := flag.Float64("tolerance", 0.25, "allowed fractional ns/op regression vs -compare")
-	allocsTolerance := flag.Float64("allocs-tolerance", 0.25,
+func run(args []string) error {
+	fs := flag.NewFlagSet("benchjson", flag.ContinueOnError)
+	pr := fs.String("pr", "", "PR label recorded in the snapshot")
+	in := fs.String("i", "", "input file with go test -bench output (default stdin)")
+	out := fs.String("o", "", "write the JSON snapshot here (default stdout)")
+	compare := fs.String("compare", "", "previous snapshot to gate ns/op regressions against")
+	tolerance := fs.Float64("tolerance", 0.25, "allowed fractional ns/op regression vs -compare")
+	allocsTolerance := fs.Float64("allocs-tolerance", 0.25,
 		"allowed fractional allocs/op regression vs -compare (negative disables)")
-	lazyGate := flag.String("lazy-gate", "Shallow,Witness",
+	lazyGate := fs.String("lazy-gate", "Shallow,Witness",
 		"comma-separated family substrings whose lazy variant must materialize ≤ half the eager states (empty disables)")
-	nsGate := flag.Bool("ns-gate", false, "also require lazy ≤ eager ns/op on the gated families")
-	flag.Parse()
+	nsGate := fs.Bool("ns-gate", false, "also require lazy ≤ eager ns/op on the gated families")
+	var skipped listFlag
+	fs.Var(&skipped, "skip-gate", "a gate the calling script skipped, as \"gate: reason\" (repeatable); recorded in the snapshot")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	var r io.Reader = os.Stdin
 	if *in != "" {
@@ -99,6 +126,7 @@ func run() error {
 	if len(snap.Benchmarks) == 0 {
 		return fmt.Errorf("no benchmark lines in input")
 	}
+	snap.SkippedGates = skipped
 
 	var failures []string
 	if *lazyGate != "" {
@@ -135,18 +163,30 @@ func run() error {
 }
 
 // parse extracts benchmark result lines from go test output. Repeated
-// runs of one benchmark (from -count) are averaged.
+// runs of one benchmark (from -count) are averaged. The snapshot's host
+// is this process's, except that GOMAXPROCS comes from the benchmark
+// names' -N suffix when they carry one and the CPU model from the
+// output's `cpu:` line.
 func parse(r io.Reader, pr string) (*Snapshot, error) {
 	sums := map[string]*Benchmark{}
 	counts := map[string]int{}
+	host := &Host{NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), GoVersion: runtime.Version()}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
-		m := benchLine.FindStringSubmatch(strings.TrimSpace(sc.Text()))
+		line := strings.TrimSpace(sc.Text())
+		if cpu, ok := strings.CutPrefix(line, "cpu:"); ok {
+			host.CPU = strings.TrimSpace(cpu)
+			continue
+		}
+		m := benchLine.FindStringSubmatch(line)
 		if m == nil {
 			continue
 		}
 		name := stripProcSuffix(m[1])
+		if procs, err := strconv.Atoi(strings.TrimPrefix(m[1], name+"-")); err == nil && name != m[1] {
+			host.GOMAXPROCS = procs
+		}
 		b := sums[name]
 		if b == nil {
 			b = &Benchmark{Name: name}
@@ -174,7 +214,7 @@ func parse(r io.Reader, pr string) (*Snapshot, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	snap := &Snapshot{PR: pr}
+	snap := &Snapshot{PR: pr, Host: host}
 	for name, b := range sums {
 		n := float64(counts[name])
 		snap.Benchmarks = append(snap.Benchmarks, Benchmark{

@@ -208,7 +208,7 @@ func (kn *Kernel) computeSCCs(allowed []bool) [][]int {
 	return SCCsFunc(len(rows),
 		func(q int) int { return len(rows[q]) },
 		func(q, i int) int { return rows[q][i] },
-		allowed)
+		allowed, nil)
 }
 
 // IsCyclic reports whether the given state set contains at least one

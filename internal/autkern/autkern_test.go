@@ -113,7 +113,7 @@ func TestSCCsFuncSelfLoopAndSingletons(t *testing.T) {
 	got := SCCsFunc(3,
 		func(q int) int { return len(rows[q]) },
 		func(q, i int) int { return rows[q][i] },
-		nil)
+		nil, nil)
 	want := [][]int{{2}, {1}, {0}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("SCCsFunc = %v, want %v", got, want)

@@ -42,7 +42,12 @@ type Frontier struct {
 	rows   [][]int // successor rows; nil until the state is closed
 	closed int     // states 0..closed-1 have rows
 	buf    []int32 // successor scratch of the sequential path
+	slab   []int   // the sequential path's block rows are carved from
 }
+
+// rowSlab is the length of the blocks successor rows are carved from: a
+// row costs an allocation only when it opens a new block.
+const rowSlab = 1024
 
 // FrontierMetrics are the counters a caller's frontiers feed, registered
 // under the caller's own metric names.
@@ -123,7 +128,7 @@ func (f *Frontier) Explore(ctx context.Context, limit int) (done bool, err error
 				if err := f.admit(ctx); err != nil {
 					return false, err
 				}
-				f.rows[f.closed] = f.row(f.closed, &f.buf, f.Add)
+				f.rows[f.closed] = f.row(f.closed, &f.buf, &f.slab, f.Add)
 				f.closed++
 			}
 			continue
@@ -161,11 +166,19 @@ func (f *Frontier) admit(ctx context.Context) error {
 }
 
 // row computes state q's successor row into the scratch buffer buf,
-// mapping each successor key to an id with resolve.
-func (f *Frontier) row(q int, buf *[]int32, resolve func(key []int32) int) []int {
+// mapping each successor key to an id with resolve. The row is carved
+// from the block *slab, which is replaced by a fresh one when it runs
+// short.
+func (f *Frontier) row(q int, buf *[]int32, slab *[]int, resolve func(key []int32) int) []int {
 	w := f.index.width
 	*buf = f.succ(f.Key(q), (*buf)[:0])
-	row := make([]int, len(*buf)/w)
+	n := len(*buf) / w
+	if cap(*slab)-len(*slab) < n {
+		*slab = make([]int, 0, max(rowSlab, n))
+	}
+	lo := len(*slab)
+	*slab = (*slab)[:lo+n]
+	row := (*slab)[lo : lo+n : lo+n]
 	for i := range row {
 		row[i] = resolve((*buf)[i*w : (i+1)*w])
 	}
@@ -205,8 +218,9 @@ func (f *Frontier) exploreWave(ctx context.Context, chunks [][2]int) {
 			return -(l + 1)
 		}
 		var buf []int32
+		var slab []int
 		for q := chunks[ci][0]; q < chunks[ci][1]; q++ {
-			f.rows[q] = f.row(q, &buf, resolve)
+			f.rows[q] = f.row(q, &buf, &slab, resolve)
 		}
 	})
 	handoffs := 0

@@ -2,7 +2,7 @@ package autkern
 
 import (
 	"context"
-	"sort"
+	"slices"
 
 	"repro/internal/budget"
 	"repro/internal/obs"
@@ -24,12 +24,53 @@ const sccPollEvery = 256
 // Components are sorted internally and emitted in Tarjan completion
 // order (reverse topological order of the condensation).
 //
+// With a non-nil sc the pass works in the caller's scratch and its
+// components alias it (see SCCScratch); with nil it allocates its own.
+//
 // This is the repository's single Tarjan implementation (iterative,
 // explicit frame stack — no recursion depth limit); dfa, omega, mc and
 // regex all route through it, directly or via Kernel.SCCs.
-func SCCsFunc(n int, deg func(int) int, edge func(int, int) int, allowed []bool) [][]int {
-	comps, _ := sccs(nil, n, deg, edge, allowed)
+func SCCsFunc(n int, deg func(int) int, edge func(int, int) int, allowed []bool, sc *SCCScratch) [][]int {
+	comps, _ := sccs(nil, n, deg, edge, allowed, sc)
 	return comps
+}
+
+// SCCScratch is caller-owned working memory for SCC passes: Tarjan's
+// index, low and stack arrays, and one buffer the components of a pass
+// share. Once it has grown to a graph's size, a pass over it allocates
+// nothing. The components a pass returns live in the scratch and stay
+// valid only until the next pass over the same scratch; a caller that
+// nests passes (one per component of an outer pass) keeps one scratch per
+// nesting depth. The zero value is ready to use.
+type SCCScratch struct {
+	index   []int32 // visit number, 1-based; 0 = unvisited
+	low     []int32
+	onStack []bool
+	stack   []int32
+	call    []sccFrame
+	buf     []int   // the components' nodes, back to back
+	comps   [][]int // subslices of buf
+}
+
+// sccFrame is one frame of Tarjan's explicit call stack: a node and the
+// position of the next edge to follow.
+type sccFrame struct {
+	node, edge int
+}
+
+// reset readies the scratch for a pass over n nodes.
+func (sc *SCCScratch) reset(n int) {
+	if cap(sc.index) < n {
+		sc.index = make([]int32, n)
+		sc.low = make([]int32, n)
+		sc.onStack = make([]bool, n)
+		sc.buf = make([]int, 0, n)
+	} else {
+		sc.index = sc.index[:n]
+		sc.low = sc.low[:n]
+		sc.onStack = sc.onStack[:n]
+		clear(sc.index)
+	}
 }
 
 // SCCsFuncCtx is SCCsFunc under resource governance: one budget step is
@@ -40,7 +81,7 @@ func SCCsFuncCtx(ctx context.Context, n int, deg func(int) int, edge func(int, i
 	if err := budget.Poll(ctx, 1); err != nil {
 		return nil, err
 	}
-	return sccs(ctx, n, deg, edge, allowed)
+	return sccs(ctx, n, deg, edge, allowed, nil)
 }
 
 // SCCsCtx is Kernel.SCCs under resource governance (see SCCsFuncCtx).
@@ -59,7 +100,7 @@ func (kn *Kernel) SCCsCtx(ctx context.Context, allowed []bool) ([][]int, error) 
 	comps, err := sccs(ctx, len(rows),
 		func(q int) int { return len(rows[q]) },
 		func(q, i int) int { return rows[q][i] },
-		allowed)
+		allowed, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -71,56 +112,48 @@ func (kn *Kernel) SCCsCtx(ctx context.Context, allowed []bool) ([][]int, error) 
 }
 
 // sccs is the iterative Tarjan core. A non-nil ctx enables periodic
-// polling; with a nil ctx the error result is always nil.
-func sccs(ctx context.Context, n int, deg func(int) int, edge func(int, int) int, allowed []bool) ([][]int, error) {
+// polling; with a nil ctx the error result is always nil. A nil sc gets a
+// scratch of its own.
+func sccs(ctx context.Context, n int, deg func(int) int, edge func(int, int) int, allowed []bool, sc *SCCScratch) ([][]int, error) {
 	cntSCCRuns.Inc()
-	ok := func(q int) bool { return allowed == nil || allowed[q] }
-
-	index := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
-	for i := range index {
-		index[i] = -1
+	if sc == nil {
+		sc = new(SCCScratch)
 	}
-	var stack []int
-	var comps [][]int
-	counter := 0
-
-	type frame struct {
-		node int
-		edge int
-	}
+	sc.reset(n)
+	index, low, onStack := sc.index, sc.low, sc.onStack
+	stack, call, buf, comps := sc.stack[:0], sc.call[:0], sc.buf[:0], sc.comps[:0]
+	defer func() { sc.stack, sc.call, sc.buf, sc.comps = stack, call, buf, comps }()
+	var counter int32
 	for root := 0; root < n; root++ {
-		if !ok(root) || index[root] >= 0 {
+		if (allowed != nil && !allowed[root]) || index[root] != 0 {
 			continue
 		}
-		var call []frame
-		index[root], low[root] = counter, counter
 		counter++
-		stack = append(stack, root)
+		index[root], low[root] = counter, counter
+		stack = append(stack, int32(root))
 		onStack[root] = true
-		call = append(call, frame{node: root})
+		call = append(call, sccFrame{node: root})
 		for len(call) > 0 {
 			f := &call[len(call)-1]
 			q := f.node
 			if f.edge < deg(q) {
 				to := edge(q, f.edge)
 				f.edge++
-				if !ok(to) {
+				if allowed != nil && !allowed[to] {
 					continue
 				}
-				if index[to] < 0 {
-					index[to], low[to] = counter, counter
+				if index[to] == 0 {
 					counter++
+					index[to], low[to] = counter, counter
 					if ctx != nil && counter%sccPollEvery == 0 {
 						if err := budget.Poll(ctx, 0); err != nil {
 							cntSCCNodes.Add(int64(counter))
 							return nil, err
 						}
 					}
-					stack = append(stack, to)
+					stack = append(stack, int32(to))
 					onStack[to] = true
-					call = append(call, frame{node: to})
+					call = append(call, sccFrame{node: to})
 				} else if onStack[to] && index[to] < low[q] {
 					low[q] = index[to]
 				}
@@ -134,17 +167,18 @@ func sccs(ctx context.Context, n int, deg func(int) int, edge func(int, int) int
 				}
 			}
 			if low[q] == index[q] {
-				var comp []int
+				start := len(buf)
 				for {
-					m := stack[len(stack)-1]
+					m := int(stack[len(stack)-1])
 					stack = stack[:len(stack)-1]
 					onStack[m] = false
-					comp = append(comp, m)
+					buf = append(buf, m)
 					if m == q {
 						break
 					}
 				}
-				sort.Ints(comp)
+				comp := buf[start:len(buf):len(buf)]
+				slices.Sort(comp)
 				comps = append(comps, comp)
 			}
 		}

@@ -153,19 +153,12 @@ func SynthesizeResponse(sys *ts.System, trigger, goal ltl.Formula) (ResponseCert
 // states.
 func pendingRegion(sys *ts.System, trigger, goal ltl.Formula) (isGoal, pending []bool, err error) {
 	n := sys.NumStates()
-	isGoal = make([]bool, n)
-	isTrigger := make([]bool, n)
-	for s := 0; s < n; s++ {
-		g, err := StateHolds(sys, s, goal)
-		if err != nil {
-			return nil, nil, err
-		}
-		isGoal[s] = g
-		tr, err := StateHolds(sys, s, trigger)
-		if err != nil {
-			return nil, nil, err
-		}
-		isTrigger[s] = tr
+	if isGoal, err = satisfying(sys, goal); err != nil {
+		return nil, nil, err
+	}
+	isTrigger, err := satisfying(sys, trigger)
+	if err != nil {
+		return nil, nil, err
 	}
 	reach := map[int]bool{}
 	for _, s := range sys.ReachableStates() {

@@ -45,10 +45,10 @@ func TestElevatorNearestStarves(t *testing.T) {
 	// The starvation loop must keep call0 pending and shuttle between the
 	// upper floors.
 	for _, s := range res.Counterexample.Loop {
-		if !sys.Valuation(s).Holds("call0") {
+		if !sys.Holds(s, "call0") {
 			t.Fatalf("starvation loop dropped call0 at %q", sys.StateName(s))
 		}
-		if sys.Valuation(s).Holds("at0") {
+		if sys.Holds(s, "at0") {
 			t.Fatalf("starvation loop visits floor 0 at %q", sys.StateName(s))
 		}
 	}

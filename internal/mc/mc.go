@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/alphabet"
 	"repro/internal/autkern"
@@ -83,7 +82,7 @@ func VerifyCtx(ctx context.Context, sys *ts.System, f ltl.Formula) (Result, erro
 	sp.Stringer("formula", f).Int("sys_states", sys.NumStates())
 	defer sp.End()
 	cntVerifyCalls.Inc()
-	props := unionProps(sys, f)
+	props := ltl.Props(f)
 	neg, err := negationAutomaton(ctx, f, props)
 	if err != nil {
 		return Result{}, err
@@ -112,19 +111,6 @@ func FairComputation(sys *ts.System) (Trace, bool) {
 		return Trace{}, false
 	}
 	return tr, ok
-}
-
-func unionProps(sys *ts.System, f ltl.Formula) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, p := range ltl.Props(f) {
-		if !seen[p] {
-			seen[p] = true
-			out = append(out, p)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // negationAutomaton builds an automaton for ¬f over 2^props. Both
@@ -177,17 +163,37 @@ type product struct {
 	aut    *omega.Automaton
 	f      *autkern.Frontier
 	inits  []int
-	symIdx []int // per system state, its alphabet index in aut
+	symIdx []int32 // per system state, its alphabet index in aut
 
 	// Scratch of the fair-SCC search, allocated once per search and
-	// reused by every refinement round. mark[n] == epoch makes node n a
-	// member of the current node set, local[n] its position there; off
-	// and adj hold the set's induced subgraph in local ids.
+	// reused by every wave and refinement round. mark[n] == epoch makes
+	// node n a member of the current node set, local[n] its position
+	// there; off and adj hold the set's induced subgraph in local ids.
 	mark  []uint32
 	local []int32
 	epoch uint32
 	off   []int32
 	adj   []int32
+	// Per transition: taken by an edge inside the round's component,
+	// the number of its nodes enabling it, and (strong transitions)
+	// whether the round drops the nodes enabling it. drop marks the
+	// component's nodes the round narrows away.
+	takenInside []bool
+	enabledAt   []int32
+	dropEnabled []bool
+	drop        []bool
+	// levels[d] is the scratch of the SCC passes nested d refinements
+	// deep.
+	levels []*searchLevel
+}
+
+// searchLevel is the scratch of one nesting depth of the fair-SCC
+// search. A pass's components stay live while the refinements of each
+// one run deeper passes, so every depth owns its SCC scratch and the
+// restricted node set it hands to the next depth.
+type searchLevel struct {
+	scc      autkern.SCCScratch
+	restrict []int
 }
 
 // node returns the (system state, automaton state) of product node i.
@@ -202,20 +208,57 @@ func newProduct(ctx context.Context, sys *ts.System, aut *omega.Automaton, props
 	_, sp := obs.Start(ctx, "mc.product")
 	sp.Int("sys_states", sys.NumStates()).Int("aut_states", aut.NumStates())
 	defer sp.End()
-	p := &product{sys: sys, aut: aut}
+	n := len(sys.Transitions())
+	p := &product{sys: sys, aut: aut,
+		takenInside: make([]bool, n), enabledAt: make([]int32, n), dropEnabled: make([]bool, n)}
 	p.f = autkern.NewFrontier(2, fault.SiteMCLazy, lazyMetrics, p.successors)
-	p.symIdx = make([]int, sys.NumStates())
-	for s := range p.symIdx {
-		sym := sys.Symbol(s, props)
-		if p.symIdx[s] = aut.Alphabet().Index(sym); p.symIdx[s] < 0 {
-			return nil, fmt.Errorf("mc: state %q symbol %q not in property alphabet", sys.StateName(s), sym)
-		}
+	if err := p.letters(props); err != nil {
+		return nil, err
 	}
 	for _, s0 := range sys.Init() {
-		q0 := aut.StepIndex(aut.Start(), p.symIdx[s0])
+		q0 := aut.StepIndex(aut.Start(), int(p.symIdx[s0]))
 		p.inits = append(p.inits, p.f.Add([]int32{int32(s0), int32(q0)}))
 	}
 	return p, nil
+}
+
+// letters fills symIdx. A state's letter is its valuation projected onto
+// props; the letter's alphabet index is resolved once per distinct
+// projection, so at most 2^len(props) symbols are built whatever the
+// system's size.
+func (p *product) letters(props []string) error {
+	sys, alpha := p.sys, p.aut.Alphabet()
+	at := make([]int, len(props)) // props[j]'s bit in the system's rows; -1 if never true
+	for j, pr := range props {
+		at[j] = sys.PropIndex(pr)
+	}
+	memo := make([]int32, 1<<len(props)) // projection → alphabet index + 1
+	p.symIdx = make([]int32, sys.NumStates())
+	for s := range p.symIdx {
+		row := sys.Bits(s)
+		proj := 0
+		for j, k := range at {
+			if k >= 0 && row[k>>6]&(1<<(k&63)) != 0 {
+				proj |= 1 << j
+			}
+		}
+		if memo[proj] == 0 {
+			v := alphabet.Valuation{}
+			for j, pr := range props {
+				if proj&(1<<j) != 0 {
+					v[pr] = true
+				}
+			}
+			sym := v.Symbol()
+			i := alpha.Index(sym)
+			if i < 0 {
+				return fmt.Errorf("mc: state %q symbol %q not in property alphabet", sys.StateName(s), sym)
+			}
+			memo[proj] = int32(i) + 1
+		}
+		p.symIdx[s] = memo[proj] - 1
+	}
+	return nil
 }
 
 // successors appends the product successors of node (s, q): for every
@@ -225,7 +268,7 @@ func (p *product) successors(key, dst []int32) []int32 {
 	nq := int(key[1])
 	_, to := p.sys.Edges(int(key[0]))
 	for _, s2 := range to {
-		dst = append(dst, int32(s2), int32(p.aut.StepIndex(nq, p.symIdx[s2])))
+		dst = append(dst, int32(s2), int32(p.aut.StepIndex(nq, int(p.symIdx[s2]))))
 	}
 	return dst
 }
@@ -273,7 +316,7 @@ func searchFairAccepting(ctx context.Context, sys *ts.System, aut *omega.Automat
 		for i := len(closed); i < p.f.Closed(); i++ {
 			closed = append(closed, i)
 		}
-		comp, need := p.findFairAcceptingSCC(ctx, closed)
+		comp, need := p.findFairAcceptingSCC(ctx, closed, 0)
 		if comp == nil && !done {
 			continue
 		}
@@ -296,13 +339,19 @@ func searchFairAccepting(ctx context.Context, sys *ts.System, aut *omega.Automat
 // transition is either disabled somewhere in C or taken by an edge inside
 // C, and (iii) every strongly fair transition is either enabled nowhere in
 // C or taken inside C. It returns the set and the transition indices
-// whose edges the witness loop must include.
+// whose edges the witness loop must include. depth is the number of
+// refinements enclosing this pass; the returned set lives in the search's
+// scratch, so it is read before the next search.
 //
 // Tarjan runs over the induced subgraph alone, renumbered in ascending
 // node order: its roots are tried and its edges followed in the same
 // order as a pass over the whole product restricted to nodes would, so
 // the components, and their completion order, are that pass's.
-func (p *product) findFairAcceptingSCC(ctx context.Context, nodes []int) ([]int, []int) {
+func (p *product) findFairAcceptingSCC(ctx context.Context, nodes []int, depth int) ([]int, []int) {
+	if depth == len(p.levels) {
+		p.levels = append(p.levels, new(searchLevel))
+	}
+	lv := p.levels[depth]
 	p.members(nodes)
 	rows := p.f.Rows()
 	off, adj := append(p.off[:0], 0), p.adj[:0]
@@ -318,7 +367,7 @@ func (p *product) findFairAcceptingSCC(ctx context.Context, nodes []int) ([]int,
 	comps := autkern.SCCsFunc(len(nodes),
 		func(q int) int { return int(off[q+1] - off[q]) },
 		func(q, i int) int { return int(adj[int(off[q])+i]) },
-		nil)
+		nil, &lv.scc)
 	// The scratch subgraph is dead from here on: refine's nested rounds
 	// rebuild it for their own node sets.
 	for _, comp := range comps {
@@ -328,14 +377,17 @@ func (p *product) findFairAcceptingSCC(ctx context.Context, nodes []int) ([]int,
 		if len(comp) == 1 && !slices.Contains(rows[comp[0]], comp[0]) {
 			continue // a single node without a self-loop has no cycle
 		}
-		if set, need := p.refine(ctx, comp); set != nil {
+		if set, need := p.refine(ctx, comp, lv, depth); set != nil {
 			return set, need
 		}
 	}
 	return nil, nil
 }
 
-func (p *product) refine(ctx context.Context, comp []int) ([]int, []int) {
+// refine runs one refinement round on comp, a component of the pass at
+// depth, narrowing it into lv.restrict for a pass one level deeper when
+// some acceptance or fairness requirement fails.
+func (p *product) refine(ctx context.Context, comp []int, lv *searchLevel, depth int) ([]int, []int) {
 	// One refinement round: record its component size so the shrinking
 	// sequence of candidate sets is visible in traces.
 	ctx, sp := obs.Start(ctx, "mc.refine")
@@ -345,10 +397,9 @@ func (p *product) refine(ctx context.Context, comp []int) ([]int, []int) {
 	histRefineSizes.Observe(int64(len(comp)))
 	p.members(comp)
 	trans := p.sys.Transitions()
-	// Per transition: whether an edge inside comp takes it, and at how
-	// many of comp's nodes it is enabled.
-	takenInside := make([]bool, len(trans))
-	enabledAt := make([]int, len(trans))
+	takenInside, enabledAt := p.takenInside, p.enabledAt
+	clear(takenInside)
+	clear(enabledAt)
 	rows := p.f.Rows()
 	for _, n := range comp {
 		s, _ := p.node(n)
@@ -363,9 +414,12 @@ func (p *product) refine(ctx context.Context, comp []int) ([]int, []int) {
 		}
 	}
 
-	drop := make([]bool, len(comp)) // nodes the round narrows away
+	if cap(p.drop) < len(comp) {
+		p.drop = make([]bool, len(comp))
+	}
+	drop := p.drop[:len(comp)] // nodes the round narrows away
+	clear(drop)
 	narrowed := false
-	var needEdges []int
 
 	// Streett pairs of the automaton component.
 	for i := 0; i < p.aut.NumPairs(); i++ {
@@ -390,24 +444,34 @@ func (p *product) refine(ctx context.Context, comp []int) ([]int, []int) {
 		}
 	}
 
-	// Fairness requirements.
+	// Fairness requirements. A strongly fair transition enabled in comp
+	// but never taken there restricts comp to the nodes disabling it.
+	dropEnabled, strongDrops := p.dropEnabled, false
+	clear(dropEnabled)
 	for ti, tr := range trans {
 		if tr.Fair == ts.Unfair || takenInside[ti] || enabledAt[ti] == 0 {
 			continue
 		}
 		switch tr.Fair {
 		case ts.Weak:
-			if enabledAt[ti] == len(comp) {
+			if int(enabledAt[ti]) == len(comp) {
 				// Continuously enabled, never taken, and no sub-component
 				// can disable it: this component is hopeless.
 				return nil, nil
 			}
 		case ts.Strong:
-			// Restrict to nodes where the transition is disabled.
-			for j, n := range comp {
-				if s, _ := p.node(n); tr.Enabled(s) {
+			dropEnabled[ti], strongDrops = true, true
+		}
+	}
+	if strongDrops {
+		for j, n := range comp {
+			s, _ := p.node(n)
+			et, _ := p.sys.Edges(s)
+			for _, ti := range et {
+				if dropEnabled[ti] {
 					drop[j] = true
 					narrowed = true
+					break
 				}
 			}
 		}
@@ -416,6 +480,7 @@ func (p *product) refine(ctx context.Context, comp []int) ([]int, []int) {
 	if !narrowed {
 		// comp satisfies everything; the witness loop must include one
 		// edge of every fair transition enabled within comp.
+		var needEdges []int
 		for ti, tr := range trans {
 			if tr.Fair != ts.Unfair && enabledAt[ti] > 0 && takenInside[ti] {
 				needEdges = append(needEdges, ti)
@@ -423,16 +488,17 @@ func (p *product) refine(ctx context.Context, comp []int) ([]int, []int) {
 		}
 		return comp, needEdges
 	}
-	var restrict []int
+	restrict := lv.restrict[:0]
 	for j, n := range comp {
 		if !drop[j] {
 			restrict = append(restrict, n)
 		}
 	}
+	lv.restrict = restrict
 	if len(restrict) == 0 {
 		return nil, nil
 	}
-	return p.findFairAcceptingSCC(ctx, restrict)
+	return p.findFairAcceptingSCC(ctx, restrict, depth+1)
 }
 
 // extractTrace builds a lasso of system states: a path from an initial

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/alphabet"
 	"repro/internal/budget"
 	"repro/internal/ltl"
 	"repro/internal/obs"
@@ -24,42 +23,77 @@ func StateHolds(sys *ts.System, state int, f ltl.Formula) (bool, error) {
 	if !ltl.IsStateFormula(f) {
 		return false, fmt.Errorf("mc: %v is not a state formula", f)
 	}
-	return holdsAt(sys.Valuation(state), f)
-}
-
-// holdsAt evaluates a state formula (propositional connectives over
-// atomic propositions) directly on a state's valuation.
-func holdsAt(v alphabet.Valuation, f ltl.Formula) (bool, error) {
-	switch t := f.(type) {
-	case ltl.True:
-		return true, nil
-	case ltl.False:
-		return false, nil
-	case ltl.Prop:
-		return v[t.Name], nil
-	case ltl.Not:
-		x, err := holdsAt(v, t.F)
-		return !x, err
-	case ltl.And:
-		return holdsBoth(v, t.L, t.R, func(x, y bool) bool { return x && y })
-	case ltl.Or:
-		return holdsBoth(v, t.L, t.R, func(x, y bool) bool { return x || y })
-	case ltl.Implies:
-		return holdsBoth(v, t.L, t.R, func(x, y bool) bool { return !x || y })
-	case ltl.Iff:
-		return holdsBoth(v, t.L, t.R, func(x, y bool) bool { return x == y })
-	}
-	return false, fmt.Errorf("mc: cannot evaluate %v at a state", f)
-}
-
-// holdsBoth evaluates l and r at v and combines them with op.
-func holdsBoth(v alphabet.Valuation, l, r ltl.Formula, op func(x, y bool) bool) (bool, error) {
-	x, err := holdsAt(v, l)
+	holds, err := compileState(sys, f)
 	if err != nil {
 		return false, err
 	}
-	y, err := holdsAt(v, r)
-	return op(x, y), err
+	return holds(sys.Bits(state)), nil
+}
+
+// statePred is a state formula resolved against one system's
+// propositions: it evaluates the formula on a state's bit row
+// (ts.System.Bits).
+type statePred func(row []uint64) bool
+
+// compileState resolves the state formula f (propositional connectives
+// over atomic propositions) against sys once, so that evaluating it at a
+// state reads only that state's bit row.
+func compileState(sys *ts.System, f ltl.Formula) (statePred, error) {
+	switch t := f.(type) {
+	case ltl.True:
+		return func([]uint64) bool { return true }, nil
+	case ltl.False:
+		return func([]uint64) bool { return false }, nil
+	case ltl.Prop:
+		k := sys.PropIndex(t.Name)
+		if k < 0 {
+			return func([]uint64) bool { return false }, nil
+		}
+		w, bit := k>>6, uint64(1)<<(k&63)
+		return func(row []uint64) bool { return row[w]&bit != 0 }, nil
+	case ltl.Not:
+		x, err := compileState(sys, t.F)
+		if err != nil {
+			return nil, err
+		}
+		return func(row []uint64) bool { return !x(row) }, nil
+	case ltl.And:
+		return compileBoth(sys, t.L, t.R, func(x, y bool) bool { return x && y })
+	case ltl.Or:
+		return compileBoth(sys, t.L, t.R, func(x, y bool) bool { return x || y })
+	case ltl.Implies:
+		return compileBoth(sys, t.L, t.R, func(x, y bool) bool { return !x || y })
+	case ltl.Iff:
+		return compileBoth(sys, t.L, t.R, func(x, y bool) bool { return x == y })
+	}
+	return nil, fmt.Errorf("mc: cannot evaluate %v at a state", f)
+}
+
+// compileBoth compiles l and r and combines their values with op.
+func compileBoth(sys *ts.System, l, r ltl.Formula, op func(x, y bool) bool) (statePred, error) {
+	x, err := compileState(sys, l)
+	if err != nil {
+		return nil, err
+	}
+	y, err := compileState(sys, r)
+	if err != nil {
+		return nil, err
+	}
+	return func(row []uint64) bool { return op(x(row), y(row)) }, nil
+}
+
+// satisfying returns, per state of sys, whether the state formula f holds
+// there.
+func satisfying(sys *ts.System, f ltl.Formula) ([]bool, error) {
+	holds, err := compileState(sys, f)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]bool, sys.NumStates())
+	for s := range out {
+		out[s] = holds(sys.Bits(s))
+	}
+	return out, nil
 }
 
 // Invariant checks □χ for a state formula χ by exploring the reachable
@@ -76,9 +110,13 @@ func Invariant(sys *ts.System, chi ltl.Formula) (bool, []int, error) {
 // same envelope as the general model checker. The exploration is
 // reported as an mc.invariant span (states explored, verdict) and in the
 // mc.invariant.states counter.
-func InvariantCtx(ctx context.Context, sys *ts.System, chi ltl.Formula) (holds bool, path []int, err error) {
+func InvariantCtx(ctx context.Context, sys *ts.System, chi ltl.Formula) (ok bool, path []int, err error) {
 	if !ltl.IsStateFormula(chi) {
 		return false, nil, fmt.Errorf("mc: invariant %v is not a state formula", chi)
+	}
+	holds, err := compileState(sys, chi)
+	if err != nil {
+		return false, nil, err
 	}
 	ctx, sp := obs.Start(ctx, "mc.invariant")
 	sp.Int("sys_states", sys.NumStates())
@@ -87,7 +125,7 @@ func InvariantCtx(ctx context.Context, sys *ts.System, chi ltl.Formula) (holds b
 		cntInvariantStates.Add(int64(explored))
 		sp.Int("states", explored)
 		if err == nil {
-			sp.Bool("holds", holds)
+			sp.Bool("holds", ok)
 		}
 		sp.End()
 	}()
@@ -110,11 +148,7 @@ func InvariantCtx(ctx context.Context, sys *ts.System, chi ltl.Formula) (holds b
 			return false, nil, err
 		}
 		explored++
-		ok, err := holdsAt(sys.Valuation(s), chi)
-		if err != nil {
-			return false, nil, err
-		}
-		if !ok {
+		if !holds(sys.Bits(s)) {
 			for cur := s; cur != -1; cur = prev[cur] {
 				path = append(path, cur)
 			}
@@ -153,32 +187,24 @@ func CheckInductive(sys *ts.System, chi ltl.Formula) (InductiveResult, error) {
 	if !ltl.IsStateFormula(chi) {
 		return InductiveResult{}, fmt.Errorf("mc: candidate %v is not a state formula", chi)
 	}
+	holds, err := satisfying(sys, chi)
+	if err != nil {
+		return InductiveResult{}, err
+	}
 	res := InductiveResult{Inductive: true, BrokenBy: map[string][2]int{}}
 	for _, s := range sys.Init() {
-		ok, err := StateHolds(sys, s, chi)
-		if err != nil {
-			return InductiveResult{}, err
-		}
-		if !ok {
+		if !holds[s] {
 			res.Inductive = false
 			res.FailsInitially = append(res.FailsInitially, s)
 		}
 	}
 	for _, tr := range sys.Transitions() {
 		for s := 0; s < sys.NumStates(); s++ {
-			okFrom, err := StateHolds(sys, s, chi)
-			if err != nil {
-				return InductiveResult{}, err
-			}
-			if !okFrom {
+			if !holds[s] {
 				continue
 			}
-			for _, to := range tr.Successors(s) {
-				okTo, err := StateHolds(sys, to, chi)
-				if err != nil {
-					return InductiveResult{}, err
-				}
-				if !okTo {
+			for _, to := range tr.SuccessorsShared(s) {
+				if !holds[to] {
 					res.Inductive = false
 					if _, dup := res.BrokenBy[tr.Name]; !dup {
 						res.BrokenBy[tr.Name] = [2]int{s, to}
@@ -210,19 +236,13 @@ func ExtractRanking(sys *ts.System, trigger, goal ltl.Formula) (Ranking, error) 
 		return Ranking{}, fmt.Errorf("mc: ranking needs state formulas")
 	}
 	n := sys.NumStates()
-	isGoal := make([]bool, n)
-	isTrigger := make([]bool, n)
-	for s := 0; s < n; s++ {
-		g, err := StateHolds(sys, s, goal)
-		if err != nil {
-			return Ranking{}, err
-		}
-		isGoal[s] = g
-		tr, err := StateHolds(sys, s, trigger)
-		if err != nil {
-			return Ranking{}, err
-		}
-		isTrigger[s] = tr
+	isGoal, err := satisfying(sys, goal)
+	if err != nil {
+		return Ranking{}, err
+	}
+	isTrigger, err := satisfying(sys, trigger)
+	if err != nil {
+		return Ranking{}, err
 	}
 	// Pending states: non-goal states reachable (through non-goal states)
 	// from a reachable trigger state.

@@ -178,7 +178,7 @@ func (b *Buchi) AcceptsLasso(w word.Lasso) bool {
 	comps := autkern.SCCsFunc(nNodes,
 		func(n int) int { return len(adj[n]) },
 		func(n, i int) int { return adj[n][i].to },
-		seen)
+		seen, nil)
 	sccOf := make([]int, nNodes)
 	for c, comp := range comps {
 		for _, n := range comp {

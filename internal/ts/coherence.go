@@ -1,6 +1,9 @@
 package ts
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // CacheCoherence builds an MSI-style cache-coherence protocol over n
 // caches sharing one line. Each cache is Invalid, Shared or Modified and
@@ -39,27 +42,17 @@ func CacheCoherence(n int) (*System, error) {
 	name := func(c conf) string {
 		return fmt.Sprintf("s%v w%v", c.st[:n], c.want[:n])
 	}
-	ip, sp, mp := indexed("i", n), indexed("s", n), indexed("m", n)
-	rp, wp := indexed("rd", n), indexed("wr", n)
-	props := func(c conf) []string {
-		var out []string
+	// Bits: i<j> = j, s<j> = n+j, m<j> = 2n+j, rd<j> = 3n+j, wr<j> = 4n+j.
+	props := slices.Concat(indexed("i", n), indexed("s", n), indexed("m", n), indexed("rd", n), indexed("wr", n))
+	label := func(c conf) uint64 {
+		var m uint64
 		for i := 0; i < n; i++ {
-			switch c.st[i] {
-			case inv:
-				out = append(out, ip[i])
-			case shared:
-				out = append(out, sp[i])
-			case modified:
-				out = append(out, mp[i])
-			}
-			switch c.want[i] {
-			case read:
-				out = append(out, rp[i])
-			case write:
-				out = append(out, wp[i])
+			m |= 1 << (int(c.st[i])*n + i) // inv, shared, modified = 0, 1, 2
+			if c.want[i] != none {
+				m |= 1 << ((2+int(c.want[i]))*n + i) // read, write = 1, 2
 			}
 		}
-		return out
+		return m
 	}
 	var trans []protoTransition[conf]
 	for i := 0; i < n; i++ {
@@ -112,7 +105,7 @@ func CacheCoherence(n int) (*System, error) {
 			}},
 		)
 	}
-	return buildReachable([]conf{{}}, name, props, trans)
+	return buildReachable([]conf{{}}, props, label, name, trans)
 }
 
 // CacheCoherenceSpecs returns known-verdict specifications of

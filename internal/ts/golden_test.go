@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 )
@@ -55,18 +54,6 @@ func goldenSystems() []struct {
 		entry{"TrivialMutex", TrivialMutex})
 }
 
-// trueProps returns the sorted propositions holding at state i.
-func trueProps(sys *System, i int) []string {
-	var out []string
-	for p, ok := range sys.Valuation(i) {
-		if ok {
-			out = append(out, p)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // renderSystems renders one line per state of every golden system: the
 // system, the state's index and name, its true propositions and its
 // AllSuccessors row.
@@ -80,7 +67,7 @@ func renderSystems(t *testing.T) string {
 		}
 		for i := 0; i < sys.NumStates(); i++ {
 			fmt.Fprintf(&sb, "%s\t%d\t%s\t{%s}\t%v\n", g.name, i, sys.StateName(i),
-				strings.Join(trueProps(sys, i), ","), sys.AllSuccessors(i))
+				strings.Join(sys.TrueProps(i), ","), sys.AllSuccessors(i))
 		}
 	}
 	return sb.String()

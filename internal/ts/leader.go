@@ -1,6 +1,9 @@
 package ts
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // LeaderElection builds a Chang–Roberts-style leader election on a
 // unidirectional ring of n nodes with distinct identities 0..n-1. Each
@@ -41,20 +44,17 @@ func LeaderElection(n int) (*System, error) {
 	name := func(c conf) string {
 		return fmt.Sprintf("s%v i%03x b%v", c.status[:n], c.sent, c.buf[:n])
 	}
-	cp, pp, lp := indexed("cand", n), indexed("passive", n), indexed("leader", n)
-	props := func(c conf) []string {
-		var out []string
+	// Bits: cand<i> = i, passive<i> = n+i, leader<i> = 2n+i, elected = 3n.
+	props := slices.Concat(indexed("cand", n), indexed("passive", n), indexed("leader", n), []string{"elected"})
+	label := func(c conf) uint64 {
+		var m uint64
 		for i := 0; i < n; i++ {
-			switch c.status[i] {
-			case cand:
-				out = append(out, cp[i])
-			case passive:
-				out = append(out, pp[i])
-			case leader:
-				out = append(out, lp[i], "elected")
+			m |= 1 << (int(c.status[i])*n + i) // cand, passive, leader = 0, 1, 2
+			if c.status[i] == leader {
+				m |= 1 << (3 * n)
 			}
 		}
-		return out
+		return m
 	}
 	var trans []protoTransition[conf]
 	for i := 0; i < n; i++ {
@@ -91,7 +91,7 @@ func LeaderElection(n int) (*System, error) {
 			}},
 		)
 	}
-	return buildReachable([]conf{init}, name, props, trans)
+	return buildReachable([]conf{init}, props, label, name, trans)
 }
 
 // LeaderElectionSpecs returns known-verdict specifications of

@@ -1,6 +1,9 @@
 package ts
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // RingMutex builds an n-station token-ring mutual exclusion protocol: a
 // single token circulates; the holder may enter its critical section when
@@ -36,18 +39,14 @@ func RingMutex(n int, passFair Fairness) (*System, error) {
 		}
 		return fmt.Sprintf("t%d c%d w%03x", c.tok, cs, c.want)
 	}
-	tp, cp, wp := indexed("t", n), indexed("c", n), indexed("w", n)
-	props := func(c conf) []string {
-		out := []string{tp[c.tok]}
+	// Bits: t<i> = i, c<i> = n+i, w<i> = 2n+i, busy = 3n.
+	props := slices.Concat(indexed("t", n), indexed("c", n), indexed("w", n), []string{"busy"})
+	label := func(c conf) uint64 {
+		m := uint64(1)<<c.tok | uint64(c.want)<<(2*n)
 		if c.cs {
-			out = append(out, "busy", cp[c.tok])
+			m |= 1<<(n+int(c.tok)) | 1<<(3*n)
 		}
-		for i := 0; i < n; i++ {
-			if c.want&(1<<i) != 0 {
-				out = append(out, wp[i])
-			}
-		}
-		return out
+		return m
 	}
 	var trans []protoTransition[conf]
 	for i := 0; i < n; i++ {
@@ -85,7 +84,7 @@ func RingMutex(n int, passFair Fairness) (*System, error) {
 			}},
 		)
 	}
-	return buildReachable([]conf{{}}, name, props, trans)
+	return buildReachable([]conf{{}}, props, label, name, trans)
 }
 
 // RingMutexSpecs returns known-verdict specifications of RingMutex(n,

@@ -24,8 +24,9 @@ type ScenarioSpec struct {
 	Holds   bool
 }
 
-// indexed returns the proposition names prefix0 … prefix<n-1>, built once
-// per system so the per-state props functions only look them up.
+// indexed returns the proposition names prefix0 … prefix<n-1>. A family
+// concatenates such lists into its fixed proposition list, so that
+// prefix<i> of the k-th list is bit k·n+i of its state labels.
 func indexed(prefix string, n int) []string {
 	out := make([]string, n)
 	for i := range out {
@@ -46,37 +47,41 @@ type protoTransition[C comparable] struct {
 
 // buildReachable grows a System breadth-first from the initial
 // configurations, declaring states and transition steps as they are
-// discovered. Configurations are interned by value, so a state's name and
-// propositions are computed once, when it is first seen, not per edge.
-func buildReachable[C comparable](inits []C, name func(C) string, props func(C) []string, trans []protoTransition[C]) (*System, error) {
+// discovered. Configurations are interned by value; a state's
+// propositions are computed once, when it is first seen, as label's bit
+// mask over props (at most 64 of them), and its name is never stored:
+// StateName formats the interned configuration with name on demand.
+func buildReachable[C comparable](inits []C, props []string, label func(C) uint64, name func(C) string, trans []protoTransition[C]) (*System, error) {
 	b := NewBuilder()
 	built := make([]*Transition, len(trans))
 	for i, tr := range trans {
 		built[i] = b.Transition(tr.name, tr.fair)
 	}
 	state := map[C]int{}
-	var queue []C
+	var confs []C // by state index; confs[head:] is the BFS queue
 	intern := func(c C) int {
 		if i, ok := state[c]; ok {
 			return i
 		}
-		i := b.State(name(c), props(c)...)
+		i := len(confs)
 		state[c] = i
-		queue = append(queue, c)
+		confs = append(confs, c)
+		b.masks = append(b.masks, label(c))
 		return i
 	}
 	for _, c := range inits {
 		b.SetInit(intern(c))
 	}
-	for head := 0; head < len(queue); head++ {
-		c := queue[head]
-		from := state[c]
+	for head := 0; head < len(confs); head++ {
+		c := confs[head]
 		for i, tr := range trans {
 			if d, ok := tr.step(c); ok {
-				built[i].Step(from, intern(d))
+				built[i].Step(head, intern(d))
 			}
 		}
 	}
+	b.famProps = props
+	b.nameOf = func(i int) string { return name(confs[i]) }
 	b.AddIdle()
 	return b.Build()
 }

@@ -19,15 +19,15 @@ func TestRingMutexStructure(t *testing.T) {
 				t.Errorf("RingMutex(%d): %d states, want %d", n, got, want)
 			}
 			for s := 0; s < sys.NumStates(); s++ {
-				v := sys.Valuation(s)
+				v := func(p string) bool { return sys.Holds(s, p) }
 				toks, css := 0, 0
 				for i := 0; i < n; i++ {
-					if v[fmt.Sprintf("t%d", i)] {
+					if v(fmt.Sprintf("t%d", i)) {
 						toks++
 					}
-					if v[fmt.Sprintf("c%d", i)] {
+					if v(fmt.Sprintf("c%d", i)) {
 						css++
-						if !v[fmt.Sprintf("w%d", i)] {
+						if !v(fmt.Sprintf("w%d", i)) {
 							t.Fatalf("RingMutex(%d) state %q: in critical section without wanting", n, sys.StateName(s))
 						}
 					}
@@ -38,7 +38,7 @@ func TestRingMutexStructure(t *testing.T) {
 				if css > 1 {
 					t.Fatalf("RingMutex(%d) state %q: %d critical sections", n, sys.StateName(s), css)
 				}
-				if (css == 1) != v["busy"] {
+				if (css == 1) != v("busy") {
 					t.Fatalf("RingMutex(%d) state %q: busy prop inconsistent", n, sys.StateName(s))
 				}
 			}
@@ -56,10 +56,10 @@ func TestLeaderElectionStructure(t *testing.T) {
 			t.Fatal(err)
 		}
 		for s := 0; s < sys.NumStates(); s++ {
-			v := sys.Valuation(s)
+			v := func(p string) bool { return sys.Holds(s, p) }
 			leaders := 0
 			for i := 0; i < n; i++ {
-				if v[fmt.Sprintf("leader%d", i)] {
+				if v(fmt.Sprintf("leader%d", i)) {
 					leaders++
 					if i != n-1 {
 						t.Fatalf("LeaderElection(%d) state %q: non-maximal node %d elected", n, sys.StateName(s), i)
@@ -69,7 +69,7 @@ func TestLeaderElectionStructure(t *testing.T) {
 			if leaders > 1 {
 				t.Fatalf("LeaderElection(%d) state %q: %d leaders", n, sys.StateName(s), leaders)
 			}
-			if (leaders > 0) != v["elected"] {
+			if (leaders > 0) != v("elected") {
 				t.Fatalf("LeaderElection(%d) state %q: elected prop inconsistent", n, sys.StateName(s))
 			}
 		}
@@ -86,10 +86,10 @@ func TestCacheCoherenceStructure(t *testing.T) {
 			t.Fatal(err)
 		}
 		for s := 0; s < sys.NumStates(); s++ {
-			v := sys.Valuation(s)
+			v := func(p string) bool { return sys.Holds(s, p) }
 			modified := -1
 			for i := 0; i < n; i++ {
-				if v[fmt.Sprintf("m%d", i)] {
+				if v(fmt.Sprintf("m%d", i)) {
 					if modified >= 0 {
 						t.Fatalf("CacheCoherence(%d) state %q: caches %d and %d both Modified", n, sys.StateName(s), modified, i)
 					}
@@ -98,7 +98,7 @@ func TestCacheCoherenceStructure(t *testing.T) {
 			}
 			if modified >= 0 {
 				for i := 0; i < n; i++ {
-					if i != modified && !v[fmt.Sprintf("i%d", i)] {
+					if i != modified && !v(fmt.Sprintf("i%d", i)) {
 						t.Fatalf("CacheCoherence(%d) state %q: cache %d not Invalid while %d is Modified", n, sys.StateName(s), i, modified)
 					}
 				}

@@ -7,8 +7,9 @@ package ts
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
-	"sort"
+	"strings"
 
 	"repro/internal/alphabet"
 )
@@ -102,53 +103,81 @@ func (t *Transition) Step(from, to int) *Transition {
 // transition and, within a transition, in Step order. all holds every
 // state's deduplicated, sorted successors the same way, delimited by
 // aoff.
+//
+// A state's valuation is a bit row over the sorted props: words uint64s
+// per state, back to back in bits. A hand-built system keeps the names
+// its states were declared with; a generated one (the protocol families)
+// keeps no names and formats them on demand through nameOf, which reads
+// only immutable data, so a System is safe for concurrent readers.
 type System struct {
-	names []string
-	valu  []alphabet.Valuation
-	init  []int
-	trans []*Transition
-	props []string
-	off   []int32
-	et    []int32
-	to    []int
-	aoff  []int32
-	all   []int
-	reach []int
+	names  []string
+	nameOf func(int) string
+	props  []string
+	words  int
+	bits   []uint64
+	init   []int
+	trans  []*Transition
+	off    []int32
+	et     []int32
+	to     []int
+	aoff   []int32
+	all    []int
+	reach  []int
 }
 
 // Builder assembles a System.
+//
+// States are declared by name with State. The protocol families declare
+// them through buildReachable instead: unnamed, with their propositions as
+// bit masks over a fixed family list, and a name formatter for StateName.
 type Builder struct {
-	names   []string
-	index   map[string]int
-	valu    []alphabet.Valuation
-	init    []int
-	trans   []*Transition
-	propSet map[string]bool
-	built   bool
+	names  []string
+	index  map[string]int
+	labels [][]string // per named state, its true propositions sorted and distinct
+	err    error      // the first conflicting redeclaration
+
+	famProps []string         // generated states: the family's propositions
+	masks    []uint64         // generated states: true propositions as bits over famProps
+	nameOf   func(int) string // generated states: name of state i
+
+	init  []int
+	trans []*Transition
+	built bool
 }
 
 // NewBuilder returns an empty system builder.
 func NewBuilder() *Builder {
-	return &Builder{index: map[string]int{}, propSet: map[string]bool{}}
+	return &Builder{index: map[string]int{}}
 }
 
 // State declares (or retrieves) a named state; trueProps are the atomic
-// propositions holding there. Declaring an existing name with different
-// propositions is an error at Build time.
+// propositions holding there. Declaring an existing name again with the
+// same propositions returns its state; with different propositions it is
+// an error at Build time.
 func (b *Builder) State(name string, trueProps ...string) int {
+	label := slices.Clone(trueProps)
+	slices.Sort(label)
+	label = slices.Compact(label)
 	if i, ok := b.index[name]; ok {
+		if b.err == nil && !slices.Equal(label, b.labels[i]) {
+			b.err = fmt.Errorf("ts: state %q redeclared with propositions {%s}, declared with {%s}",
+				name, strings.Join(label, ","), strings.Join(b.labels[i], ","))
+		}
 		return i
 	}
 	i := len(b.names)
 	b.index[name] = i
 	b.names = append(b.names, name)
-	v := alphabet.Valuation{}
-	for _, p := range trueProps {
-		v[p] = true
-		b.propSet[p] = true
-	}
-	b.valu = append(b.valu, v)
+	b.labels = append(b.labels, label)
 	return i
+}
+
+// numStates returns the number of states declared so far.
+func (b *Builder) numStates() int {
+	if b.nameOf != nil {
+		return len(b.masks)
+	}
+	return len(b.names)
 }
 
 // SetInit marks states as initial.
@@ -167,20 +196,24 @@ func (b *Builder) Transition(name string, fair Fairness) *Transition {
 // computations by repeating the final state).
 func (b *Builder) AddIdle() {
 	idle := b.Transition("idle", Unfair)
-	for s := range b.names {
+	for s := range b.numStates() {
 		idle.Step(s, s)
 	}
 }
 
-// Build validates and freezes the system: at least one state and initial
-// state, all step endpoints in range, and no deadlocked reachable state.
-// On success the builder's transitions belong to the system and accept no
-// further steps; a builder builds at most one system.
+// Build validates and freezes the system: no state redeclared with
+// different propositions, at least one state and initial state, all step
+// endpoints in range, and no deadlocked reachable state. On success the
+// builder's transitions belong to the system and accept no further steps;
+// a builder builds at most one system.
 func (b *Builder) Build() (*System, error) {
 	if b.built {
 		return nil, fmt.Errorf("ts: builder already built its system")
 	}
-	n := len(b.names)
+	if b.err != nil {
+		return nil, b.err
+	}
+	n := b.numStates()
 	if n == 0 {
 		return nil, fmt.Errorf("ts: no states")
 	}
@@ -205,19 +238,20 @@ func (b *Builder) Build() (*System, error) {
 		edges += len(t.steps)
 	}
 	sys := &System{
-		names: append([]string(nil), b.names...),
-		valu:  append([]alphabet.Valuation(nil), b.valu...),
 		init:  append([]int(nil), b.init...),
 		trans: b.trans,
 	}
-	for p := range b.propSet {
-		sys.props = append(sys.props, p)
+	if b.nameOf != nil {
+		sys.nameOf = b.nameOf
+		sys.labelMasks(b.famProps, b.masks)
+	} else {
+		sys.names = append([]string(nil), b.names...)
+		sys.labelNamed(b.labels)
 	}
-	sort.Strings(sys.props)
-	sys.freeze(edges)
+	sys.freeze(n, edges)
 	for _, s := range sys.reach {
 		if sys.aoff[s] == sys.aoff[s+1] {
-			return nil, fmt.Errorf("ts: reachable state %q is deadlocked (use AddIdle)", sys.names[s])
+			return nil, fmt.Errorf("ts: reachable state %q is deadlocked (use AddIdle)", sys.StateName(s))
 		}
 	}
 	for i, t := range b.trans {
@@ -227,10 +261,63 @@ func (b *Builder) Build() (*System, error) {
 	return sys, nil
 }
 
+// labelNamed sets props to the propositions of the declared labels and
+// lays the labels out as bit rows.
+func (s *System) labelNamed(labels [][]string) {
+	for _, l := range labels {
+		s.props = append(s.props, l...)
+	}
+	slices.Sort(s.props)
+	s.props = slices.Compact(s.props)
+	s.alloc(len(labels))
+	for i, l := range labels {
+		row := s.bits[i*s.words:]
+		for _, p := range l {
+			k, _ := slices.BinarySearch(s.props, p)
+			row[k>>6] |= 1 << (k & 63)
+		}
+	}
+}
+
+// labelMasks sets props to the family propositions some state makes true,
+// sorted, and translates each state's mask over famProps into a bit row
+// over props.
+func (s *System) labelMasks(famProps []string, masks []uint64) {
+	var used uint64
+	for _, m := range masks {
+		used |= m
+	}
+	var byName []int // the used family bits, in proposition order
+	for b := range famProps {
+		if used&(1<<b) != 0 {
+			byName = append(byName, b)
+		}
+	}
+	slices.SortFunc(byName, func(x, y int) int { return strings.Compare(famProps[x], famProps[y]) })
+	var pos [64]int // family bit → position in props
+	for k, b := range byName {
+		s.props = append(s.props, famProps[b])
+		pos[b] = k
+	}
+	s.alloc(len(masks))
+	for i, m := range masks {
+		row := s.bits[i*s.words:]
+		for ; m != 0; m &= m - 1 {
+			k := pos[bits.TrailingZeros64(m)]
+			row[k>>6] |= 1 << (k & 63)
+		}
+	}
+}
+
+// alloc sizes the bit rows of n states over props.
+func (s *System) alloc(n int) {
+	s.words = (len(s.props) + 63) / 64
+	s.bits = make([]uint64, n*s.words)
+}
+
 // freeze lays the transitions' steps out as the system's successor rows
 // and computes the reachable states.
-func (s *System) freeze(edges int) {
-	n := len(s.names)
+func (s *System) freeze(n, edges int) {
 	s.off = make([]int32, n+1)
 	for _, t := range s.trans {
 		for _, st := range t.steps {
@@ -302,24 +389,63 @@ func (s *System) span(q int, t int32) (lo, hi int) {
 }
 
 // NumStates returns the number of states.
-func (s *System) NumStates() int { return len(s.names) }
+func (s *System) NumStates() int { return len(s.off) - 1 }
 
-// StateName returns the name of state i.
-func (s *System) StateName(i int) string { return s.names[i] }
+// StateName returns the name of state i. A generated system formats it
+// from the state's configuration on each call.
+func (s *System) StateName(i int) string {
+	if s.nameOf != nil {
+		return s.nameOf(i)
+	}
+	return s.names[i]
+}
 
-// StateIndex returns the index of a named state, or -1.
+// StateIndex returns the index of a named state, or -1. It scans the
+// states' names.
 func (s *System) StateIndex(name string) int {
-	for i, n := range s.names {
-		if n == name {
+	for i := range s.NumStates() {
+		if s.StateName(i) == name {
 			return i
 		}
 	}
 	return -1
 }
 
-// Valuation returns the proposition valuation of state i (shared; do not
-// mutate).
-func (s *System) Valuation(i int) alphabet.Valuation { return s.valu[i] }
+// Bits returns state i's valuation as a bit row over Props(): proposition
+// Props()[k] holds at i iff bit k%64 of word k/64 is set. The row is
+// shared with the system and must not be mutated.
+func (s *System) Bits(i int) []uint64 {
+	lo, hi := i*s.words, (i+1)*s.words
+	return s.bits[lo:hi:hi]
+}
+
+// PropIndex returns the position of proposition p in Props(), or -1 when
+// no state of the system makes p true.
+func (s *System) PropIndex(p string) int {
+	k, ok := slices.BinarySearch(s.props, p)
+	if !ok {
+		return -1
+	}
+	return k
+}
+
+// Holds reports whether proposition p is true at state i.
+func (s *System) Holds(i int, p string) bool {
+	k := s.PropIndex(p)
+	return k >= 0 && s.bits[i*s.words+k>>6]&(1<<(k&63)) != 0
+}
+
+// TrueProps returns the propositions true at state i, sorted, in a fresh
+// slice.
+func (s *System) TrueProps(i int) []string {
+	var out []string
+	for k, p := range s.props {
+		if s.bits[i*s.words+k>>6]&(1<<(k&63)) != 0 {
+			out = append(out, p)
+		}
+	}
+	return out
+}
 
 // Props returns the sorted proposition names used by the system.
 func (s *System) Props() []string { return append([]string(nil), s.props...) }
@@ -353,11 +479,11 @@ func (s *System) ReachableStates() []int { return append([]int(nil), s.reach...)
 
 // Symbol returns the state's valuation symbol restricted to the given
 // propositions — the letter the state contributes to a property
-// automaton's input word.
+// automaton's input word. It builds the symbol afresh on each call.
 func (s *System) Symbol(state int, props []string) alphabet.Symbol {
 	v := alphabet.Valuation{}
 	for _, p := range props {
-		if s.valu[state][p] {
+		if s.Holds(state, p) {
 			v[p] = true
 		}
 	}

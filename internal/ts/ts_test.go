@@ -17,6 +17,40 @@ func TestBuilderStateDedup(t *testing.T) {
 	}
 }
 
+func TestBuilderStateConflictingRedeclaration(t *testing.T) {
+	b := ts.NewBuilder()
+	a := b.State("A", "p")
+	if again := b.State("A", "q"); again != a {
+		t.Fatalf("redeclaration returned state %d, want %d", again, a)
+	}
+	b.SetInit(a)
+	b.AddIdle()
+	sys, err := b.Build()
+	if err == nil {
+		t.Fatalf("conflicting redeclaration built a system; A holds %v", sys.TrueProps(a))
+	}
+	if !strings.Contains(err.Error(), `"A"`) {
+		t.Errorf("error %q does not name the state", err)
+	}
+}
+
+func TestBuilderStateSameRedeclaration(t *testing.T) {
+	b := ts.NewBuilder()
+	a := b.State("A", "p", "q")
+	if again := b.State("A", "q", "p", "q"); again != a {
+		t.Fatalf("redeclaration returned state %d, want %d", again, a)
+	}
+	b.SetInit(a)
+	b.AddIdle()
+	sys, err := b.Build()
+	if err != nil {
+		t.Fatalf("same-propositions redeclaration: %v", err)
+	}
+	if got := sys.TrueProps(a); !slices.Equal(got, []string{"p", "q"}) {
+		t.Errorf("A holds %v, want [p q]", got)
+	}
+}
+
 func TestBuildValidatesRanges(t *testing.T) {
 	b := ts.NewBuilder()
 	s := b.State("s")
@@ -55,7 +89,7 @@ func TestSystemAccessors(t *testing.T) {
 	if sys.StateIndex("other") != s1 || sys.StateIndex("missing") != -1 {
 		t.Error("StateIndex broken")
 	}
-	if !sys.Valuation(s0).Holds("p") || sys.Valuation(s1).Holds("p") {
+	if !sys.Holds(s0, "p") || sys.Holds(s1, "p") {
 		t.Error("valuations broken")
 	}
 	props := sys.Props()
@@ -100,8 +134,8 @@ func TestPetersonShape(t *testing.T) {
 		t.Errorf("reachable: %d", len(reach))
 	}
 	for _, s := range reach {
-		v := sys.Valuation(s)
-		if v.Holds("c1") && v.Holds("c2") {
+		v := func(p string) bool { return sys.Holds(s, p) }
+		if v("c1") && v("c2") {
 			t.Errorf("reachable state %q violates mutual exclusion", sys.StateName(s))
 		}
 	}
@@ -115,9 +149,9 @@ func TestSemaphoreShape(t *testing.T) {
 		}
 		// Invariant baked into the encoding: sem free ⇔ nobody critical.
 		for s := 0; s < sys.NumStates(); s++ {
-			v := sys.Valuation(s)
-			somebodyIn := v.Holds("c1") || v.Holds("c2")
-			if v.Holds("sem") == somebodyIn {
+			v := func(p string) bool { return sys.Holds(s, p) }
+			somebodyIn := v("c1") || v("c2")
+			if v("sem") == somebodyIn {
 				t.Errorf("state %q breaks the semaphore invariant", sys.StateName(s))
 			}
 		}
@@ -130,7 +164,7 @@ func TestTrivialMutexShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	for s := 0; s < sys.NumStates(); s++ {
-		if sys.Valuation(s).Holds("c1") || sys.Valuation(s).Holds("c2") {
+		if sys.Holds(s, "c1") || sys.Holds(s, "c2") {
 			t.Error("trivial mutex must never be critical")
 		}
 	}

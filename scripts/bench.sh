@@ -42,6 +42,10 @@
 #                             executes once and only the deterministic
 #                             states/op gate is enforced — this is what
 #                             scripts/check.sh runs
+#
+# cmd/benchjson stamps each snapshot with the host's CPU count,
+# GOMAXPROCS, Go version and CPU model; every gate this script skips is
+# passed to it with -skip-gate and recorded in the snapshot beside them.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -64,7 +68,13 @@ if [ "$MODE" = "quick" ]; then
     # BenchmarkParallelSearch families assert their 0-verdict-diff
     # contract in-bench, so even the smoke run proves the sharded search
     # agrees with the sequential oracle.
-    go run ./cmd/benchjson -pr pr9-quick -i "$tmp/bench.txt" -o "$tmp/bench.json"
+    quick='quick mode: 1x timings are noise'
+    go run ./cmd/benchjson -pr pr9-quick -i "$tmp/bench.txt" -o "$tmp/bench.json" \
+        -skip-gate "ns/op and allocs/op regression: $quick" \
+        -skip-gate "obs overhead: $quick" \
+        -skip-gate "planner safety: $quick" \
+        -skip-gate "warm-restart: $quick" \
+        -skip-gate "parallel speedup: $quick"
     echo "bench smoke ok"
     exit 0
 fi
@@ -80,7 +90,14 @@ go test -run '^$' -bench '^BenchmarkObs' -benchtime 100000x -benchmem -count 3 .
 grep -v '^BenchmarkObs' "$tmp/bench.txt" > "$tmp/merged.txt"
 cat "$tmp/obs.txt" >> "$tmp/merged.txt"
 
+ncpu=$(nproc 2>/dev/null || echo 1)
 args=(-pr pr9 -i "$tmp/merged.txt" -o "$tmp/bench.json" -ns-gate)
+if [ ! -f "$SNAP" ]; then
+    args+=(-skip-gate "obs overhead: no $SNAP to compare against")
+fi
+if [ "$ncpu" -lt 4 ]; then
+    args+=(-skip-gate "parallel speedup: only $ncpu CPU(s); needs >= 4")
+fi
 if [ -f "$SNAP" ]; then
     # Re-runs gate against the committed pr9 snapshot before replacing it.
     args+=(-compare "$SNAP" -tolerance 0.2)
@@ -89,6 +106,8 @@ elif [ -f "$PREV" ]; then
     # no BenchmarkParallelSearch entries, so the parallel speedup gate
     # below starts from this run's own figures).
     args+=(-compare "$PREV" -tolerance 0.2)
+else
+    args+=(-skip-gate "ns/op and allocs/op regression: neither $SNAP nor $PREV exists")
 fi
 go run ./cmd/benchjson "${args[@]}"
 
@@ -144,7 +163,6 @@ echo "warm-restart gate ok (warm ${warm_ns} ns/op, cold ${cold_ns} ns/op)"
 # with fewer than 4 the workers time-slice one core and the gate is
 # skipped, not faked.
 echo "== parallel speedup gate (4 workers >= 1.8x on large product) =="
-ncpu=$(nproc 2>/dev/null || echo 1)
 if [ "$ncpu" -lt 4 ]; then
     echo "parallel speedup gate skipped: only $ncpu CPU(s); timing speedup needs >=4 (verdict-diff contract still enforced in-bench)"
 else
