@@ -2,6 +2,7 @@ package autkern
 
 import (
 	"context"
+	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
@@ -117,6 +118,40 @@ func TestSCCsFuncSelfLoopAndSingletons(t *testing.T) {
 	want := [][]int{{2}, {1}, {0}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("SCCsFunc = %v, want %v", got, want)
+	}
+}
+
+// TestSCCsFuncScratch: passes over one reused scratch, on graphs that
+// shrink and grow, find the components a scratch-less pass finds; the
+// components share one buffer without overlapping, and a warm scratch
+// makes a pass allocation-free.
+func TestSCCsFuncScratch(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var sc SCCScratch
+	for _, n := range []int{40, 5, 90, 1, 0, 60} {
+		rows := make([][]int, n)
+		for q := range rows {
+			for d := rng.Intn(3); d > 0; d-- {
+				rows[q] = append(rows[q], rng.Intn(n))
+			}
+		}
+		deg := func(q int) int { return len(rows[q]) }
+		edge := func(q, i int) int { return rows[q][i] }
+		want := SCCsFunc(n, deg, edge, nil, nil)
+		got := SCCsFunc(n, deg, edge, nil, &sc)
+		if len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
+			t.Fatalf("n=%d: scratch pass %v, want %v", n, got, want)
+		}
+		if len(got) > 1 {
+			next := append([]int(nil), got[1]...)
+			_ = append(got[0], -1)
+			if !reflect.DeepEqual(got[1], next) {
+				t.Fatalf("n=%d: appending to one component overwrote the next", n)
+			}
+		}
+		if allocs := testing.AllocsPerRun(10, func() { SCCsFunc(n, deg, edge, nil, &sc) }); allocs != 0 {
+			t.Errorf("n=%d: %.0f allocs per pass over a warm scratch, want 0", n, allocs)
+		}
 	}
 }
 

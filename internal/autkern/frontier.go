@@ -45,9 +45,13 @@ type Frontier struct {
 	slab   []int   // the sequential path's block rows are carved from
 }
 
-// rowSlab is the length of the blocks successor rows are carved from: a
-// row costs an allocation only when it opens a new block.
-const rowSlab = 1024
+// Successor rows are carved from blocks: a row costs an allocation only
+// when it opens a new block. Blocks start at minRowSlab entries and
+// double up to maxRowSlab, so a small product pays for a small block.
+const (
+	minRowSlab = 64
+	maxRowSlab = 1024
+)
 
 // FrontierMetrics are the counters a caller's frontiers feed, registered
 // under the caller's own metric names.
@@ -167,14 +171,14 @@ func (f *Frontier) admit(ctx context.Context) error {
 
 // row computes state q's successor row into the scratch buffer buf,
 // mapping each successor key to an id with resolve. The row is carved
-// from the block *slab, which is replaced by a fresh one when it runs
-// short.
+// from the block *slab, which is replaced by a fresh, larger one when it
+// runs short.
 func (f *Frontier) row(q int, buf *[]int32, slab *[]int, resolve func(key []int32) int) []int {
 	w := f.index.width
 	*buf = f.succ(f.Key(q), (*buf)[:0])
 	n := len(*buf) / w
 	if cap(*slab)-len(*slab) < n {
-		*slab = make([]int, 0, max(rowSlab, n))
+		*slab = make([]int, 0, max(n, min(2*cap(*slab), maxRowSlab), minRowSlab))
 	}
 	lo := len(*slab)
 	*slab = (*slab)[:lo+n]

@@ -163,7 +163,7 @@ type product struct {
 	aut    *omega.Automaton
 	f      *autkern.Frontier
 	inits  []int
-	symIdx []int32 // per system state, its alphabet index in aut
+	symIdx []int // per system state, its alphabet index in aut
 
 	// Scratch of the fair-SCC search, allocated once per search and
 	// reused by every wave and refinement round. mark[n] == epoch makes
@@ -216,7 +216,7 @@ func newProduct(ctx context.Context, sys *ts.System, aut *omega.Automaton, props
 		return nil, err
 	}
 	for _, s0 := range sys.Init() {
-		q0 := aut.StepIndex(aut.Start(), int(p.symIdx[s0]))
+		q0 := aut.StepIndex(aut.Start(), p.symIdx[s0])
 		p.inits = append(p.inits, p.f.Add([]int32{int32(s0), int32(q0)}))
 	}
 	return p, nil
@@ -232,8 +232,10 @@ func (p *product) letters(props []string) error {
 	for j, pr := range props {
 		at[j] = sys.PropIndex(pr)
 	}
-	memo := make([]int32, 1<<len(props)) // projection → alphabet index + 1
-	p.symIdx = make([]int32, sys.NumStates())
+	// projection → alphabet index + 1. The property alphabet is 2^props,
+	// and alphabet.Valuations caps props at 16, so the memo stays small.
+	memo := make([]int, 1<<len(props))
+	p.symIdx = make([]int, sys.NumStates())
 	for s := range p.symIdx {
 		row := sys.Bits(s)
 		proj := 0
@@ -254,7 +256,7 @@ func (p *product) letters(props []string) error {
 			if i < 0 {
 				return fmt.Errorf("mc: state %q symbol %q not in property alphabet", sys.StateName(s), sym)
 			}
-			memo[proj] = int32(i) + 1
+			memo[proj] = i + 1
 		}
 		p.symIdx[s] = memo[proj] - 1
 	}
@@ -268,7 +270,7 @@ func (p *product) successors(key, dst []int32) []int32 {
 	nq := int(key[1])
 	_, to := p.sys.Edges(int(key[0]))
 	for _, s2 := range to {
-		dst = append(dst, int32(s2), int32(p.aut.StepIndex(nq, int(p.symIdx[s2]))))
+		dst = append(dst, int32(s2), int32(p.aut.StepIndex(nq, p.symIdx[s2])))
 	}
 	return dst
 }

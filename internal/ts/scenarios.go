@@ -59,6 +59,8 @@ func buildReachable[C comparable](inits []C, props []string, label func(C) uint6
 	}
 	state := map[C]int{}
 	var confs []C // by state index; confs[head:] is the BFS queue
+	b.famProps = props
+	b.nameOf = func(i int) string { return name(confs[i]) }
 	intern := func(c C) int {
 		if i, ok := state[c]; ok {
 			return i
@@ -80,8 +82,6 @@ func buildReachable[C comparable](inits []C, props []string, label func(C) uint6
 			}
 		}
 	}
-	b.famProps = props
-	b.nameOf = func(i int) string { return name(confs[i]) }
 	b.AddIdle()
 	return b.Build()
 }

@@ -1,6 +1,7 @@
 package ts_test
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -286,5 +287,45 @@ func TestBuildRejectsStepFromOutOfRange(t *testing.T) {
 	b.Transition("bad", ts.Unfair).Step(-1, s)
 	if _, err := b.Build(); err == nil || !strings.Contains(err.Error(), "bad") {
 		t.Errorf("step from -1: err = %v, want one naming the transition", err)
+	}
+}
+
+// TestBitRowsSpanWords: a system over more than 64 propositions lays
+// each state's valuation out over several words, indexed by the sorted
+// Props().
+func TestBitRowsSpanWords(t *testing.T) {
+	b := ts.NewBuilder()
+	var props []string
+	for i := 0; i < 70; i++ {
+		props = append(props, fmt.Sprintf("p%02d", i))
+	}
+	all := b.State("all", props...)
+	some := b.State("some", "p66", "p03")
+	b.SetInit(all)
+	b.AddIdle()
+	sys, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(sys.Bits(some)); got != 2 {
+		t.Fatalf("row of %d words, want 2", got)
+	}
+	if k := sys.PropIndex("p66"); k != 66 {
+		t.Errorf("PropIndex(p66) = %d, want 66", k)
+	}
+	if row := sys.Bits(some); row[0] != 1<<3 || row[1] != 1<<2 {
+		t.Errorf("row of some = %x, want bits 3 and 66", row)
+	}
+	if sys.PropIndex("q") != -1 || sys.Holds(some, "q") {
+		t.Error("unknown proposition found")
+	}
+	if !sys.Holds(some, "p66") || sys.Holds(some, "p65") || !sys.Holds(all, "p69") {
+		t.Error("Holds broken across words")
+	}
+	if got := sys.TrueProps(some); !slices.Equal(got, []string{"p03", "p66"}) {
+		t.Errorf("TrueProps = %v", got)
+	}
+	if got := len(sys.TrueProps(all)); got != 70 {
+		t.Errorf("all holds %d propositions, want 70", got)
 	}
 }
