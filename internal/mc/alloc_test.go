@@ -16,7 +16,7 @@ import (
 // fair-SCC search keeps its per-round state in scratch it reuses across
 // waves and refinement rounds, so the count tracks the product's size,
 // not its number of rounds. The bound sits about 20% above the measured
-// 430 at either jobs count (440 under -race); allocating per round and
+// 433 at either jobs count (443 under -race); allocating per round and
 // per state, the search made 10881.
 func TestVerifyAllocs(t *testing.T) {
 	obs.Detach() // a span sink would allocate per refinement round

@@ -6,7 +6,7 @@ import "testing"
 // strong). Generated states store no names and no per-state maps — a bit
 // row each, in one block — so the count tracks the successor relation's
 // growth, not the number of states. The bound sits about 20% above the
-// measured 367 (381 under -race); the map- and name-per-state layout it
+// measured 368 (380 under -race); the map- and name-per-state layout it
 // replaced made 4047.
 func TestBuildAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(5, func() {
