@@ -14,11 +14,14 @@
 // Two gates, both optional:
 //
 //   - -compare PREV [-tolerance T] [-allocs-tolerance A]: every
-//     benchmark present in both snapshots must not regress its ns/op by
-//     more than the tolerance fraction (default 0.25), nor its allocs/op
+//     benchmark present in both snapshots must not regress its allocs/op
 //     by more than the allocs tolerance (default 0.25; negative
-//     disables). New and removed benchmarks are reported but do not fail
-//     the gate.
+//     disables), nor — when both snapshots were taken on a matching host
+//     (same CPU model, GOMAXPROCS and Go version) — its ns/op by more
+//     than the tolerance fraction (default 0.25). Across different or
+//     unrecorded hosts the ns/op comparison is skipped and the skip is
+//     recorded in the snapshot. New and removed benchmarks are reported
+//     but do not fail the gate.
 //   - -lazy-gate FAMILIES (default "Shallow,Witness"): for every
 //     benchmark family X matching one of the comma-separated substrings
 //     and exposing both X/lazy and X/eager variants, the lazy variant
@@ -31,7 +34,8 @@
 // Every snapshot records the host it was taken on — CPU count,
 // GOMAXPROCS of the benchmark run, Go version and the `cpu:` line of the
 // go test output — and, per -skip-gate flag, each gate the calling script
-// skipped and why, so snapshots are compared only like-for-like.
+// skipped and why. Timings are compared only like-for-like (see
+// -compare).
 //
 // Exit status 1 on any gate violation, with one diagnostic per line on
 // stderr.
@@ -137,7 +141,14 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		failures = append(failures, gateRegression(prev, snap, *tolerance, *allocsTolerance)...)
+		compareNs := true
+		if why := hostMismatch(prev.Host, snap.Host); why != "" {
+			compareNs = false
+			skip := fmt.Sprintf("ns/op regression vs %s: %s", *compare, why)
+			snap.SkippedGates = append(snap.SkippedGates, skip)
+			fmt.Fprintln(os.Stderr, "benchjson: skipped:", skip)
+		}
+		failures = append(failures, gateRegression(prev, snap, compareNs, *tolerance, *allocsTolerance)...)
 	}
 
 	data, err := json.MarshalIndent(snap, "", "  ")
@@ -308,11 +319,31 @@ func gateLazy(snap *Snapshot, families []string, nsGate bool) []string {
 	return failures
 }
 
-// gateRegression compares ns/op (and, unless disabled, allocs/op)
-// against a previous snapshot. Allocation counts are near-deterministic,
-// so the allocs gate catches hot-path regressions that timing jitter
-// would hide.
-func gateRegression(prev, cur *Snapshot, tolerance, allocsTolerance float64) []string {
+// hostMismatch returns why timings taken on prev cannot be compared with
+// timings taken on cur, or "" when both record the same CPU model,
+// GOMAXPROCS and Go version.
+func hostMismatch(prev, cur *Host) string {
+	switch {
+	case prev == nil:
+		return "the previous snapshot records no host"
+	case prev.CPU == "" || cur.CPU == "":
+		return "CPU model not recorded"
+	case prev.CPU != cur.CPU:
+		return fmt.Sprintf("CPU %q vs %q", prev.CPU, cur.CPU)
+	case prev.GOMAXPROCS != cur.GOMAXPROCS:
+		return fmt.Sprintf("GOMAXPROCS %d vs %d", prev.GOMAXPROCS, cur.GOMAXPROCS)
+	case prev.GoVersion != cur.GoVersion:
+		return fmt.Sprintf("Go %s vs %s", prev.GoVersion, cur.GoVersion)
+	}
+	return ""
+}
+
+// gateRegression compares allocs/op (unless disabled) and, when
+// compareNs is set, ns/op against a previous snapshot. Allocation counts
+// are near-deterministic and host-independent, so the allocs gate
+// catches hot-path regressions across any two hosts; timings only mean
+// something between runs on one kind of host.
+func gateRegression(prev, cur *Snapshot, compareNs bool, tolerance, allocsTolerance float64) []string {
 	prevBy := map[string]Benchmark{}
 	for _, b := range prev.Benchmarks {
 		prevBy[b.Name] = b
@@ -323,7 +354,7 @@ func gateRegression(prev, cur *Snapshot, tolerance, allocsTolerance float64) []s
 		if !ok {
 			continue // new benchmark: nothing to compare
 		}
-		if p.NsPerOp > 0 {
+		if compareNs && p.NsPerOp > 0 {
 			ratio := b.NsPerOp / p.NsPerOp
 			if ratio > 1+tolerance && !almostEqual(b.NsPerOp, p.NsPerOp) {
 				failures = append(failures, fmt.Sprintf(

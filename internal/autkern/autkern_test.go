@@ -276,7 +276,8 @@ func TestKeyAndTupleInterner(t *testing.T) {
 	}
 
 	// The frontier's fixed-width tuple table: dense first-seen ids, keys
-	// stored back to back, lookups that never intern.
+	// stored back to back, and a fresh flag that tells absent keys from
+	// present ones.
 	ti := keyTable{width: 3}
 	a, fresh := ti.intern([]int32{1, 2, 3})
 	if a != 0 || !fresh {
@@ -290,23 +291,23 @@ func TestKeyAndTupleInterner(t *testing.T) {
 	if c != 1 {
 		t.Fatalf("permuted tuple must be distinct, id = %d", c)
 	}
-	if _, ok := ti.lookup([]int32{2, 2, 2}); ok {
-		t.Fatal("lookup of an absent tuple succeeded")
+	if id, fresh := ti.intern([]int32{2, 2, 2}); !fresh || id != 2 {
+		t.Fatalf("absent tuple interned as %d (fresh %v)", id, fresh)
 	}
-	if ti.len() != 2 || !reflect.DeepEqual(ti.key(1), []int32{3, 2, 1}) {
+	if ti.len() != 3 || !reflect.DeepEqual(ti.key(1), []int32{3, 2, 1}) {
 		t.Fatalf("len %d, key(1) = %v", ti.len(), ti.key(1))
 	}
 	// Grow well past the initial table: ids stay dense and every tuple,
 	// including negative components, still resolves to its id.
 	for i := 0; i < 5000; i++ {
 		id, fresh := ti.intern([]int32{int32(i), -int32(i), 7})
-		if !fresh || id != i+2 {
+		if !fresh || id != i+3 {
 			t.Fatalf("tuple %d interned as %d (fresh %v)", i, id, fresh)
 		}
 	}
 	for i := 0; i < 5000; i++ {
-		if id, ok := ti.lookup([]int32{int32(i), -int32(i), 7}); !ok || id != i+2 {
-			t.Fatalf("tuple %d looked up as %d, %v", i, id, ok)
+		if id, fresh := ti.intern([]int32{int32(i), -int32(i), 7}); fresh || id != i+3 {
+			t.Fatalf("present tuple %d re-interned as %d (fresh %v)", i, id, fresh)
 		}
 	}
 }

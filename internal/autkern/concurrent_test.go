@@ -63,39 +63,3 @@ func TestConcurrentAnalysesPublishOnce(t *testing.T) {
 		}
 	}
 }
-
-// TestConcurrentInternerLookups races read-only lookups against a frozen
-// tuple table from many goroutines — the exact access pattern the sharded
-// wave workers use on the frontier's global table while the single
-// writer is parked at the barrier.
-func TestConcurrentInternerLookups(t *testing.T) {
-	tuples := keyTable{width: 3}
-	for i := 0; i < 500; i++ {
-		tuples.intern([]int32{int32(i % 7), int32(i % 11), int32(i % 13)})
-	}
-	var wg sync.WaitGroup
-	fail := make([]string, 8)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				id, ok := tuples.lookup([]int32{int32(i % 7), int32(i % 11), int32(i % 13)})
-				if !ok || id != i {
-					fail[g] = "tuple lookup diverged"
-					return
-				}
-			}
-			if _, ok := tuples.lookup([]int32{99, 99, 99}); ok {
-				fail[g] = "phantom tuple"
-				return
-			}
-		}(g)
-	}
-	wg.Wait()
-	for g, f := range fail {
-		if f != "" {
-			t.Fatalf("goroutine %d: %s", g, f)
-		}
-	}
-}

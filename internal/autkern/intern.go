@@ -6,8 +6,8 @@ package autkern
 // caller drives a worklist `for i := 0; i < in.Len(); i++`. They are
 // the kernel's single replacement for the per-package `index :=
 // map[...]int` + order-slice idiom. On-the-fly products that need
-// governance or sharded waves use a Frontier, which carries its own
-// interner over fixed-width int32 keys.
+// per-state governance use a Frontier, which carries its own interner
+// over fixed-width int32 keys.
 //
 // PairInterner is the hot-path variant: it packs an (x, y) state pair
 // into one uint64 so lookups ride the runtime's fast uint64 map path

@@ -149,7 +149,7 @@ func (e *Engine) check(ctx context.Context, req CheckRequest) (Verdict, error) {
 		if req.System == nil || req.Formula == nil {
 			return Verdict{}, errors.New("engine: CheckVerify needs System and Formula")
 		}
-		res, out, err := plan.Verify(e.withJobs(ctx), req.System, req.Formula)
+		res, out, err := plan.Verify(ctx, req.System, req.Formula)
 		if err != nil {
 			return Verdict{}, wrapErr(err)
 		}

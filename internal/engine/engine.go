@@ -409,7 +409,7 @@ func (e *Engine) contains(ctx context.Context, a, b *omega.Automaton) (plan.Outc
 	if err != nil {
 		return plan.Outcome{}, srcComputed, err
 	}
-	out, err := plan.ContainsWith(e.withJobs(ctx), plan.DecideContains(pa, pb), a, b)
+	out, err := plan.ContainsWith(ctx, plan.DecideContains(pa, pb), a, b)
 	if err != nil {
 		return plan.Outcome{}, srcComputed, wrapErr(err)
 	}

@@ -1,15 +1,13 @@
 package engine_test
 
-// Engine-level governance for the sharded parallel search: a
-// WithParallelism engine attaches its worker bound to every request
-// context that can reach an exploration frontier, so the lazy Streett
-// product exploration and the model checker's product shard their waves
-// at the production thresholds when the product is large enough (or at
-// the thresholds a caller lowers with par.WithShardThresholds). A fault
-// injected at a lazy site in that mode must (a) surface, (b) never leave
-// a verdict in the memo cache, and (c) degrade bit-identically — same
-// error, same states-materialized count — to a single-worker engine. A
-// state budget must stop both products after the same spend.
+// Engine-level governance of the lazy products. A WithParallelism engine
+// fans clause compilation and per-class checks out to its worker pool,
+// but every product exploration runs on the request's goroutine, so a
+// fault injected at a lazy site must (a) surface, (b) never leave a
+// verdict in the memo cache, and (c) degrade exactly as on a
+// single-worker engine — same error, same states-materialized count. A
+// state budget must stop the model checker's product after an exact
+// spend.
 
 import (
 	"context"
@@ -23,22 +21,18 @@ import (
 	"repro/internal/ltl"
 	"repro/internal/obs"
 	"repro/internal/omega"
-	"repro/internal/par"
 	"repro/internal/ts"
 )
 
 var (
 	cntLazyStatesEng = obs.NewCounter("omega.lazy.states_materialized")
-	cntParWavesEng   = obs.NewCounter("omega.parallel.waves")
 	cntMCNodesEng    = obs.NewCounter("mc.lazy.nodes_materialized")
-	cntMCWavesEng    = obs.NewCounter("mc.parallel.waves")
 )
 
 // bigFairnessPair compiles a five-pair conjoined-fairness containment
 // whose container automaton has 1024 states: mixed Streett pairs defeat
 // every planner probe, the containment holds so the lazy path explores
-// the full product, and the product is large enough that a parallel
-// engine shards its waves at the production thresholds.
+// the full product, which runs to thousands of states.
 func bigFairnessPair(t *testing.T) (a, b *omega.Automaton) {
 	t.Helper()
 	props := []string{"p", "q", "r", "s", "u", "v", "w", "x", "y", "z"}
@@ -58,34 +52,29 @@ func bigFairnessPair(t *testing.T) (a, b *omega.Automaton) {
 
 // TestParallelEngineMatchesSequential checks a WithParallelism engine
 // produces the identical verdict and witness as a single-worker engine on
-// a product big enough to shard — and that the sharded wave path really
-// engaged.
+// a large product.
 func TestParallelEngineMatchesSequential(t *testing.T) {
 	a, b := bigFairnessPair(t)
 	seq, err := contains(context.Background(), engine.New(engine.WithParallelism(1)), a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wavesBefore := cntParWavesEng.Value()
-	par, err := contains(context.Background(), engine.New(engine.WithParallelism(8)), a, b)
+	pooled, err := contains(context.Background(), engine.New(engine.WithParallelism(8)), a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if par.Holds != seq.Holds || !reflect.DeepEqual(par.Witness, seq.Witness) {
-		t.Fatalf("parallel engine (%v, %v) != sequential engine (%v, %v)", par.Holds, par.Witness, seq.Holds, seq.Witness)
+	if pooled.Holds != seq.Holds || !reflect.DeepEqual(pooled.Witness, seq.Witness) {
+		t.Fatalf("parallel engine (%v, %v) != sequential engine (%v, %v)", pooled.Holds, pooled.Witness, seq.Holds, seq.Witness)
 	}
-	if !par.Holds {
+	if !pooled.Holds {
 		t.Fatal("conjoined fairness containment must hold")
-	}
-	if cntParWavesEng.Value() == wavesBefore {
-		t.Fatal("parallel engine never engaged the sharded wave path")
 	}
 }
 
 // TestParallelEngineFaultGovernance mirrors TestContainsUnderLazyFault on
-// the sharded path: the injection lands mid-exploration of a genuinely
-// sharded product, yet the abort must be indistinguishable from the
-// single-worker engine's, and nothing may be cached.
+// a WithParallelism engine: the injection lands mid-exploration of a large
+// product, yet the abort must be indistinguishable from the single-worker
+// engine's, and nothing may be cached.
 func TestParallelEngineFaultGovernance(t *testing.T) {
 	defer fault.Reset()
 	a, b := bigFairnessPair(t)
@@ -137,74 +126,55 @@ func ringVerify(t *testing.T) engine.CheckRequest {
 	return engine.CheckRequest{Kind: engine.CheckVerify, System: sys, Formula: ltl.MustParse("G (w0 -> F c0)")}
 }
 
-// runRingVerify checks the ring request on an engine with the given worker
-// count (and options), with the sharding thresholds lowered so the jobs=2
-// run shards its waves. It reports the error, the product nodes closed and
-// whether a sharded wave ran.
-func runRingVerify(t *testing.T, workers int, opts ...engine.Option) (error, int64, bool) {
+// runRingVerify checks the ring request on a single-worker engine with
+// the given options. It reports the error and the product nodes closed.
+func runRingVerify(t *testing.T, opts ...engine.Option) (error, int64) {
 	t.Helper()
 	req := ringVerify(t)
-	eng := engine.New(append(opts, engine.WithParallelism(workers))...)
-	ctx := par.WithShardThresholds(context.Background(), 2, 1)
-	nodes, waves := cntMCNodesEng.Value(), cntMCWavesEng.Value()
-	_, err := eng.Check(ctx, req)
-	return err, cntMCNodesEng.Value() - nodes, cntMCWavesEng.Value() > waves
+	eng := engine.New(append(opts, engine.WithParallelism(1))...)
+	nodes := cntMCNodesEng.Value()
+	_, err := eng.Check(context.Background(), req)
+	return err, cntMCNodesEng.Value() - nodes
 }
 
-// TestParallelVerifyBudgetParity: the model checker's product charges the
+// TestVerifyBudgetStopsProduct: the model checker's product charges the
 // request's state budget per closed node, exactly as omega's lazy product
-// does, so a budget below the product size stops the check — after the
-// same spend at one worker and at two. The request first compiles the
-// negated property under the same budget, so the product gets what that
-// compile leaves.
-func TestParallelVerifyBudgetParity(t *testing.T) {
-	_, full, _ := runRingVerify(t, 1)
+// does, so a budget below the product size stops the check. The request
+// first compiles the negated property under the same budget, so the
+// product closes exactly what that compile leaves.
+func TestVerifyBudgetStopsProduct(t *testing.T) {
+	_, full := runRingVerify(t)
 	const limit = 100
 	if full <= limit {
 		t.Fatalf("ring product closes %d nodes; the budget must sit below it", full)
 	}
 	productShare := limit - negationStates(t, ringVerify(t).Formula)
-	spend := map[int]int64{}
-	for _, workers := range []int{1, 2} {
-		err, nodes, sharded := runRingVerify(t, workers, engine.WithStateBudget(limit))
-		var ex *budget.ExceededError
-		if !errors.As(err, &ex) || ex.Resource != "states" {
-			t.Fatalf("workers=%d: want a states budget exhaustion, got %v", workers, err)
-		}
-		if nodes != productShare {
-			t.Fatalf("workers=%d: closed %d product nodes under a %d-state budget, want %d",
-				workers, nodes, limit, productShare)
-		}
-		if workers > 1 && !sharded {
-			t.Fatalf("workers=%d: no sharded wave ran", workers)
-		}
-		spend[workers] = ex.Used
+	err, nodes := runRingVerify(t, engine.WithStateBudget(limit))
+	var ex *budget.ExceededError
+	if !errors.As(err, &ex) || ex.Resource != "states" {
+		t.Fatalf("want a states budget exhaustion, got %v", err)
 	}
-	if spend[1] != spend[2] {
-		t.Fatalf("budget spend at exhaustion: %d at one worker, %d at two", spend[1], spend[2])
+	if nodes != productShare {
+		t.Fatalf("closed %d product nodes under a %d-state budget, want %d", nodes, limit, productShare)
+	}
+	if ex.Used != limit+1 {
+		t.Fatalf("budget spend at exhaustion %d, want %d", ex.Used, limit+1)
 	}
 }
 
-// TestParallelVerifyFaultParity injects an error at the model checker's
-// lazy site mid-product: it must surface, after the same number of closed
-// nodes at one worker and at two.
-func TestParallelVerifyFaultParity(t *testing.T) {
+// TestVerifyFaultStopsProduct injects an error at the model checker's
+// lazy site on its 150th hit: it must surface after exactly 149 closed
+// nodes.
+func TestVerifyFaultStopsProduct(t *testing.T) {
 	defer fault.Reset()
 	boom := errors.New("injected mc lazy fault")
-	closed := map[int]int64{}
-	for _, workers := range []int{1, 2} {
-		cleanup := fault.InjectError(fault.SiteMCLazy, 150, boom)
-		err, nodes, sharded := runRingVerify(t, workers)
-		cleanup()
-		if !errors.Is(err, boom) {
-			t.Fatalf("workers=%d: want the injected fault, got %v", workers, err)
-		}
-		if workers > 1 && !sharded {
-			t.Fatalf("workers=%d: no sharded wave ran", workers)
-		}
-		closed[workers] = nodes
+	cleanup := fault.InjectError(fault.SiteMCLazy, 150, boom)
+	err, nodes := runRingVerify(t)
+	cleanup()
+	if !errors.Is(err, boom) {
+		t.Fatalf("want the injected fault, got %v", err)
 	}
-	if closed[1] != 149 || closed[2] != closed[1] {
-		t.Fatalf("nodes closed before the fault: %d at one worker, %d at two; want 149", closed[1], closed[2])
+	if nodes != 149 {
+		t.Fatalf("closed %d nodes before the fault, want 149", nodes)
 	}
 }

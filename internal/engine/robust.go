@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/budget"
 	"repro/internal/obs"
-	"repro/internal/par"
 )
 
 var cntPanics = obs.NewCounter("engine.panics.recovered")
@@ -72,17 +71,4 @@ func (e *Engine) withBudget(ctx context.Context) context.Context {
 		return ctx
 	}
 	return budget.With(ctx, budget.New(e.maxStates, e.maxSteps))
-}
-
-// withJobs attaches the engine's worker-pool bound as the parallelism
-// hint the exploration frontier reads to shard its waves, unless the
-// caller pinned one. It runs only on the miss paths that can reach a
-// frontier (planned containment, model checking), so memo hits cost no
-// context allocation; a sequential pool skips it too, since the frontier
-// defaults to one worker.
-func (e *Engine) withJobs(ctx context.Context) context.Context {
-	if _, ok := par.JobsFrom(ctx); !ok && e.workers > 1 {
-		ctx = par.WithJobs(ctx, e.workers)
-	}
-	return ctx
 }

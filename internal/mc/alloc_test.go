@@ -7,16 +7,14 @@ import (
 	"repro/internal/ltl"
 	"repro/internal/mc"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/ts"
 )
 
 // TestVerifyAllocs bounds the allocations of one model-checking run,
-// G F t0 on RingMutex(6, strong), with jobs pinned to 1 and to 2. The
-// fair-SCC search keeps its per-round state in scratch it reuses across
+// G F t0 on RingMutex(6, strong). The fair-SCC search keeps its per-round state in scratch it reuses across
 // waves and refinement rounds, so the count tracks the product's size,
 // not its number of rounds. The bound sits about 20% above the measured
-// 433 at either jobs count (443 under -race); allocating per round and
+// 433 (443 under -race); allocating per round and
 // per state, the search made 10881.
 func TestVerifyAllocs(t *testing.T) {
 	obs.Detach() // a span sink would allocate per refinement round
@@ -26,16 +24,13 @@ func TestVerifyAllocs(t *testing.T) {
 	}
 	f := ltl.MustParse("G F t0")
 	const bound = 520
-	for _, jobs := range []int{1, 2} {
-		ctx := par.WithJobs(context.Background(), jobs)
-		allocs := testing.AllocsPerRun(5, func() {
-			res, err := mc.VerifyCtx(ctx, sys, f)
-			if err != nil || !res.Holds {
-				t.Fatalf("holds=%v err=%v", res.Holds, err)
-			}
-		})
-		if allocs > bound {
-			t.Errorf("jobs=%d: %.0f allocs per verify, want ≤ %d", jobs, allocs, bound)
+	allocs := testing.AllocsPerRun(5, func() {
+		res, err := mc.VerifyCtx(context.Background(), sys, f)
+		if err != nil || !res.Holds {
+			t.Fatalf("holds=%v err=%v", res.Holds, err)
 		}
+	})
+	if allocs > bound {
+		t.Errorf("%.0f allocs per verify, want ≤ %d", allocs, bound)
 	}
 }

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/ltl"
 	"repro/internal/mc"
-	"repro/internal/par"
 	"repro/internal/ts"
 )
 
@@ -88,10 +87,10 @@ func goldenCorpus() []goldenSystem {
 	return out
 }
 
-// renderVerdicts model-checks the golden corpus under ctx and renders one
-// line per check: system, formula, verdict and, for a failed property,
-// the counterexample's prefix and loop as state names.
-func renderVerdicts(t *testing.T, ctx context.Context) string {
+// renderVerdicts model-checks the golden corpus and renders one line per
+// check: system, formula, verdict and, for a failed property, the
+// counterexample's prefix and loop as state names.
+func renderVerdicts(t *testing.T) string {
 	t.Helper()
 	var sb strings.Builder
 	for _, g := range goldenCorpus() {
@@ -100,7 +99,7 @@ func renderVerdicts(t *testing.T, ctx context.Context) string {
 			t.Fatalf("%s: %v", g.name, err)
 		}
 		for _, src := range g.formulas {
-			res, err := mc.VerifyCtx(ctx, sys, ltl.MustParse(src))
+			res, err := mc.VerifyCtx(context.Background(), sys, ltl.MustParse(src))
 			if err != nil {
 				t.Fatalf("%s ⊨ %s: %v", g.name, src, err)
 			}
@@ -120,15 +119,13 @@ func renderVerdicts(t *testing.T, ctx context.Context) string {
 // corpus to testdata/verdicts.golden. The file records the model
 // checker's output before the dense successor layout and the
 // component-local refinement replaced the map-based ones; both keep the
-// search order, so each trace must stay byte-identical. The corpus runs
-// with one worker and with two workers under shrunk shard thresholds, so
-// the sharded product waves are exercised too. Regenerate with
+// search order, so each trace must stay byte-identical. Regenerate with
 // `go test ./internal/mc -run TestGoldenVerdicts -update` only when a
 // change to the search is intended.
 func TestGoldenVerdicts(t *testing.T) {
 	path := filepath.Join("testdata", "verdicts.golden")
 	if *updateGolden {
-		got := renderVerdicts(t, par.WithJobs(context.Background(), 1))
+		got := renderVerdicts(t)
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -138,21 +135,15 @@ func TestGoldenVerdicts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, jobs := range []int{1, 2} {
-		ctx := par.WithJobs(context.Background(), jobs)
-		if jobs > 1 {
-			ctx = par.WithShardThresholds(ctx, 2, 1)
-		}
-		got := renderVerdicts(t, ctx)
-		if got == string(want) {
-			continue
-		}
-		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-		for i := 0; i < len(gl) && i < len(wl); i++ {
-			if gl[i] != wl[i] {
-				t.Fatalf("jobs=%d: line %d differs from %s:\n got: %s\nwant: %s", jobs, i+1, path, gl[i], wl[i])
-			}
-		}
-		t.Fatalf("jobs=%d: %d lines, %s has %d", jobs, len(gl), path, len(wl))
+	got := renderVerdicts(t)
+	if got == string(want) {
+		return
 	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if gl[i] != wl[i] {
+			t.Fatalf("line %d differs from %s:\n got: %s\nwant: %s", i+1, path, gl[i], wl[i])
+		}
+	}
+	t.Fatalf("%d lines, %s has %d", len(gl), path, len(wl))
 }

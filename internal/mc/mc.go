@@ -31,7 +31,7 @@ var (
 	cntVerifyCalls  = obs.NewCounter("mc.verify.calls")
 	cntRefineRounds = obs.NewCounter("mc.refine.rounds")
 	histRefineSizes = obs.NewHistogram("mc.refine.component_size")
-	lazyMetrics     = autkern.NewFrontierMetrics("mc.lazy.nodes_materialized", "mc.parallel")
+	cntLazyNodes    = obs.NewCounter("mc.lazy.nodes_materialized")
 )
 
 // mcFirstWave is the node bound of the first lazy exploration wave of the
@@ -211,7 +211,7 @@ func newProduct(ctx context.Context, sys *ts.System, aut *omega.Automaton, props
 	n := len(sys.Transitions())
 	p := &product{sys: sys, aut: aut,
 		takenInside: make([]bool, n), enabledAt: make([]int32, n), dropEnabled: make([]bool, n)}
-	p.f = autkern.NewFrontier(2, fault.SiteMCLazy, lazyMetrics, p.successors)
+	p.f = autkern.NewFrontier(2, fault.SiteMCLazy, cntLazyNodes, p.successors)
 	if err := p.letters(props); err != nil {
 		return nil, err
 	}

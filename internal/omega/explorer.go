@@ -11,9 +11,9 @@ import (
 )
 
 var (
-	lazyMetrics       = autkern.NewFrontierMetrics("omega.lazy.states_materialized", "omega.parallel")
-	cntLazyEarlyExits = obs.NewCounter("omega.lazy.early_exits")
-	maxLazyStates     = obs.NewGauge("omega.lazy.max_states")
+	cntLazyMaterialized = obs.NewCounter("omega.lazy.states_materialized")
+	cntLazyEarlyExits   = obs.NewCounter("omega.lazy.early_exits")
+	maxLazyStates       = obs.NewGauge("omega.lazy.max_states")
 )
 
 // defaultFirstWave is the number of product states the first exploration
@@ -35,8 +35,8 @@ const defaultFirstWave = 64
 //
 // The exploration itself — interning, the closed BFS prefix, per-state
 // governance (fault.SiteOmegaLazy, cancellation, one budget state per
-// closed state, exactly the accounting of the eager product) and sharded
-// waves — is an autkern.Frontier over the tuple of factor states; this
+// closed state, exactly the accounting of the eager product) — is an
+// autkern.Frontier over the tuple of factor states; this
 // type adds the product's transition function and its acceptance.
 //
 // The acceptance lists of all factors are lifted to the product (Streett
@@ -76,7 +76,7 @@ func NewProductExplorer(autos ...*Automaton) (*ProductExplorer, error) {
 		}
 	}
 	e := &ProductExplorer{autos: autos, alpha: alpha, k: alpha.Size()}
-	e.f = autkern.NewFrontier(len(autos), fault.SiteOmegaLazy, lazyMetrics, e.successors)
+	e.f = autkern.NewFrontier(len(autos), fault.SiteOmegaLazy, cntLazyMaterialized, e.successors)
 	npairs := 0
 	for _, a := range autos {
 		e.pairOffset = append(e.pairOffset, npairs)
@@ -105,10 +105,8 @@ func (e *ProductExplorer) successors(t, dst []int32) []int32 {
 
 // ExploreCtx materializes product states in discovery order until either
 // the whole reachable product is closed (done=true) or at least limit
-// states are closed; see autkern.Frontier.Explore, which also shards
-// large waves when the context carries a parallelism bound (par.WithJobs
-// — the engine attaches its worker-pool bound, the CLIs' -jobs flag feeds
-// it) with results bit-identical to the sequential path.
+// states are closed, one governed state at a time; see
+// autkern.Frontier.Explore.
 func (e *ProductExplorer) ExploreCtx(ctx context.Context, limit int) (done bool, err error) {
 	done, err = e.f.Explore(ctx, limit)
 	maxLazyStates.Max(int64(e.f.Closed()))

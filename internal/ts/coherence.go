@@ -10,7 +10,7 @@ import (
 // may have one outstanding read or write request; granting a write
 // invalidates every other cache, granting a read downgrades a Modified
 // holder to Shared. The family is the coherence-protocol workload the
-// parallel search benchmarks lean on: its reachable space grows
+// search benchmarks lean on: its reachable space grows
 // geometrically in n while the single-writer invariant stays easy to
 // state.
 //

@@ -3,7 +3,7 @@ package ts
 import "strconv"
 
 // This file is the scaffolding for the parameterized protocol families
-// (ring mutex, leader election, cache coherence) that give the parallel
+// (ring mutex, leader election, cache coherence) that give the
 // state-space search realistic many-state workloads. Each family builds
 // its System by breadth-first search from the initial configurations, so
 // only reachable configurations become states — the full cross product of

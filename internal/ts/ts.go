@@ -65,8 +65,8 @@ func (t *Transition) Successors(s int) []int {
 
 // SuccessorsShared is Successors without the defensive copy: the slice is
 // shared with the system and must not be mutated. It exists for the hot
-// exploration loops — the sharded product workers read successor sets
-// from many goroutines at once, which is safe exactly because nothing is
+// exploration loops; concurrent queries over one system may read it from
+// many goroutines at once, which is safe exactly because nothing is
 // allocated or written.
 func (t *Transition) SuccessorsShared(s int) []int {
 	if t.sys == nil {

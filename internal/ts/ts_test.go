@@ -183,8 +183,8 @@ func TestTransitionSuccessorsCopy(t *testing.T) {
 	}
 }
 
-// TestStepAfterBuildPanics: a built System is immutable and read
-// concurrently by the sharded search, so a late Step must fail loudly
+// TestStepAfterBuildPanics: a built System is immutable and shared
+// by concurrent queries, so a late Step must fail loudly
 // (naming the transition) instead of being silently lost.
 func TestStepAfterBuildPanics(t *testing.T) {
 	b := ts.NewBuilder()

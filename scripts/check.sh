@@ -32,18 +32,17 @@ go test -race ./...
 echo "== perfbench (nested module: vet, test) =="
 (cd perfbench && go vet ./... && go test ./...)
 
-# Schedule-independence gate: the jobs-sweep differentials compare the
-# sharded parallel search at several worker counts and perturbed
-# schedules against the sequential oracle — verdicts, witness lassos and
-# state counts must be bit-identical. The concurrent trace tests hold
-# span trees to the same standard: concurrent requests, and one
-# request's own fan-out, must each build their own tree. They already
-# ran (at full size) inside the -race suite above; this named quick pass
-# documents the contract and keeps a fast dedicated entry point for it.
-echo "== schedule-independence (jobs sweep, -race, quick) =="
+# Concurrency gate: concurrent queries over shared automata and kernels
+# must agree with a lone query, analyses published from racing
+# goroutines must be computed once, and concurrent requests, and one
+# request's own fan-out, must each build their own span tree. These
+# tests already ran (at full size) inside the -race suite above; this
+# named quick pass documents the contract and keeps a fast dedicated
+# entry point for it.
+echo "== concurrency (-race, quick) =="
 go test -race -short -count=1 \
-    -run 'ScheduleIndependence|Parallel|Concurrent|TraceJSONL' \
-    ./internal/omega/ ./internal/mc/ ./internal/engine/ ./internal/autkern/ \
+    -run 'Concurrent|RaceStress|TraceJSONL' \
+    ./internal/omega/ ./internal/engine/ ./internal/autkern/ \
     ./internal/obs/ ./cmd/temporald/
 
 # Coverage floors on the two packages carrying the paper's decision
@@ -81,12 +80,10 @@ cov_floor ./internal/cli/ 80
 # or recovery branch is exactly where corrupted bytes turn into wrong
 # verdicts.
 cov_floor ./internal/store/ 85
-# The scenario families carry known-verdict specs the parallel search is
-# differentially tested against, and ts lays out the frozen successor
-# rows every model-checking hot loop reads; the par package is the
-# scheduling substrate every sharded wave runs on.
+# The scenario families carry known-verdict specs the model checker is
+# tested against, and ts lays out the frozen successor rows every
+# model-checking hot loop reads.
 cov_floor ./internal/ts/ 93
-cov_floor ./internal/par/ 90
 
 # Graph-algorithm lint: SCC decomposition, reachability closures and
 # state-pair/key interning live in internal/autkern only. A new Tarjan
@@ -107,21 +104,6 @@ if [ -n "$hits" ]; then
 fi
 [ "$lint_fail" -eq 0 ] || exit 1
 echo "autkern lint ok"
-
-# Frontier lint: on-the-fly product exploration — the sequential loop,
-# the sharded wave with its barrier merge and remap, the per-state
-# governance prefix — lives once, in autkern.Frontier. Driving par's
-# wave scheduler, declaring a wave shard or a private shard threshold
-# anywhere else starts a second copy of it.
-echo "== frontier lint =="
-hits=$(grep -rn --include='*.go' -e 'par\.Run(' -e 'par\.Split(' -e 'waveShard' \
-    -e 'minShardWave' -e 'parMinChunk' internal cmd ./*.go | grep -v '^internal/autkern/' || true)
-if [ -n "$hits" ]; then
-    echo "wave exploration outside internal/autkern (use autkern.Frontier):" >&2
-    echo "$hits" >&2
-    exit 1
-fi
-echo "frontier lint ok"
 
 # Planner lint: production code must route containment through the
 # planner via Engine.Check, the one query entry, which falls back to the
